@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import drivers
-from .config_io import format_scalar, parse_configuration
+from .config_io import MIN_D, MIN_Q, format_scalar, parse_configuration
 from .constraints import (
     CompleteK,
     ConstraintGraph,
@@ -25,7 +25,7 @@ from .constraints import (
     instantiate,
     witness_search,
 )
-from .errors import Degenerate, TverlabError
+from .errors import Degenerate, InvalidParameters, TverlabError
 from .geometry import PointConfiguration
 from .partitions import enumerate_candidate_partitions
 from .svg import render_svg
@@ -46,7 +46,7 @@ def parse_graph_spec(text):
     for piece in text.lower().split("+"):
         m = re.fullmatch(r"(k|star|path|cycle)(\d+)", piece.strip())
         if m is None:
-            raise argparse.ArgumentTypeError(
+            raise InvalidParameters(
                 f"bad graph spec {piece!r}; expected k<l>, star<l>, path<l>, or cycle<l>"
             )
         parts.append(GRAPH_COMPONENTS[m.group(1)](int(m.group(2))))
@@ -57,8 +57,10 @@ def _graph_for(spec_text, n):
     if spec_text.startswith("edges:"):
         edges = []
         for token in spec_text[len("edges:") :].split(","):
-            a, b = token.split("-")
-            edges.append((int(a), int(b)))
+            m = re.fullmatch(r"(\d+)-(\d+)", token.strip())
+            if m is None:
+                raise InvalidParameters(f"bad edge {token!r}; expected <label>-<label>")
+            edges.append((int(m.group(1)), int(m.group(2))))
         return ConstraintGraph(n, frozenset(tuple(sorted(e)) for e in edges))
     return instantiate(parse_graph_spec(spec_text), n)
 
@@ -76,8 +78,12 @@ def _record_dict(record):
 
 
 def _load_config(path) -> PointConfiguration:
-    with open(path) as fh:
-        return parse_configuration(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidParameters(f"cannot read {path}: {exc.strerror}") from exc
+    return parse_configuration(text)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +269,17 @@ def build_parser():
     return parser
 
 
+# Lower bounds on numeric flags, wherever a command has them.  A value below
+# them would crash or give a report with no evidence behind it.
+FLAG_MINIMUMS = {"d": MIN_D, "q": MIN_Q, "samples": 1, "max": 1}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for key, low in FLAG_MINIMUMS.items():
+        if getattr(args, key, low) < low:
+            parser.error(f"--{key} must be >= {low}, got {getattr(args, key)}")
     started = time.monotonic()
     try:
         body, ok = args.run(args)

@@ -302,11 +302,6 @@ class GroupAction:
         return sorted(seen)
 
 
-def cyclic_action(q) -> GroupAction:
-    shift = tuple(c % q + 1 for c in range(1, q + 1))
-    return GroupAction(q, (shift,), f"Z_{q}")
-
-
 def _prime_power_decompose(q):
     f = 2
     n = q

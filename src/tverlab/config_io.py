@@ -19,6 +19,8 @@ from fractions import Fraction
 from .errors import ArityError, ParseError
 from .geometry import PointConfiguration
 
+MIN_D, MIN_Q = 1, 2  # the smallest dimension and number of blocks accepted
+
 
 def _parse_scalar(token, lineno):
     try:
@@ -47,8 +49,8 @@ def parse_configuration(text) -> PointConfiguration:
                 d, q = int(parts["d"]), int(parts["q"])
             except ValueError as exc:
                 raise ParseError("non-integer d or q", lineno) from exc
-            if d < 1 or q < 2:
-                raise ParseError("need d >= 1 and q >= 2", lineno)
+            if d < MIN_D or q < MIN_Q:
+                raise ParseError(f"need d >= {MIN_D} and q >= {MIN_Q}", lineno)
             continue
         coords = tuple(_parse_scalar(tok, lineno) for tok in line.split())
         if len(coords) != d:

@@ -2,24 +2,84 @@
 
 Points are tuples of exact scalars (`int` or `fractions.Fraction`); every
 operation here is a pure function of its inputs and bit-reproducible.
-Plain ints are accepted everywhere so that integer-coordinate samples take
-the cheap arithmetic path; results that require division are Fractions.
+
+Every linear system (determinants above 3x3, ranks, barycentric
+coordinates, affine-hull intersections) goes through one kernel, `_reduce`:
+it clears each row's denominators and runs fraction-free Gauss-Jordan
+elimination on plain integers.  A result that needs division becomes a
+Fraction only when it is returned.  Determinants up to 3x3, the hot path of
+`orientation`, use closed forms.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NoUniquePoint
-from .lp import lp_solve, lp_feasible
+from .lp import lp_feasible
 
 INSIDE = "Inside"
 BOUNDARY = "Boundary"
 OUTSIDE = "Outside"
 
 
+def _reduce(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of exact rows.
+
+    Each row is first multiplied by the positive LCM of its entries'
+    denominators.  That keeps the solution set, the rank and the sign of the
+    determinant, and leaves only integers to eliminate.  The first `ncols`
+    columns are then reduced left to right, each pivoting on the first
+    remaining row that is non-zero there; later columns (a right-hand side)
+    are carried along.  Every intermediate entry is a minor of the cleared
+    matrix, so each division is exact.
+
+    Returns (m, pivots, den, scale):
+    - `pivots`: the pivot columns, increasing; their number is the rank.
+    - `m`: the reduced integer rows.  Row i < len(pivots) holds `den` in
+      column pivots[i] and 0 in every other pivot column; the remaining
+      rows are 0 in the first `ncols` columns.  So m / den is the reduced
+      row echelon form of `rows`.
+    - `den`: the one common denominator, the last pivot (1 if none).  It
+      may be negative.
+    - `scale`: the product of the row multipliers, negated once per row
+      swap; a square matrix of full rank has determinant den / scale.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        lcm = math.lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (lcm // v.denominator) for v in row])
+        scale *= lcm
+    pivots = []
+    den = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            scale = -scale
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * a - f * b) // den for a, b in zip(row, top)]
+        den = p
+        pivots.append(col)
+    return m, pivots, den, scale
+
+
 def det(matrix):
-    """Exact determinant (Bareiss for ints, plain elimination otherwise)."""
+    """Exact determinant: closed forms up to 3x3, `_reduce` beyond.
+
+    An all-int matrix gives an int; otherwise n >= 4 gives a Fraction.
+    """
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -29,39 +89,11 @@ def det(matrix):
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = matrix
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    m = [list(row) for row in matrix]
-    if all(isinstance(v, int) for row in m for v in row):
-        # Bareiss fraction-free elimination
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[-1][-1]
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        result *= Fraction(m[k][k])
-        inv = Fraction(1, 1) / Fraction(m[k][k])
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return sign * result
+    _, pivots, den, scale = _reduce(matrix, n)
+    value = den if len(pivots) == n else 0
+    if all(isinstance(v, int) for row in matrix for v in row):
+        return value * scale  # no denominators to clear, so scale is +-1
+    return Fraction(value, scale)
 
 
 def _sign(x):
@@ -107,11 +139,9 @@ class PointConfiguration:
 
 
 def affinely_independent(points, d):
-    if len(points) == 1:
-        return True
     p0 = points[0]
     rows = [[p[j] - p0[j] for j in range(d)] for p in points[1:]]
-    return _rank(rows) == len(points) - 1
+    return len(_reduce(rows, d)[1]) == len(points) - 1
 
 
 def effective_general_position(config: PointConfiguration) -> bool:
@@ -126,68 +156,22 @@ def points_in_general_position(points, d) -> bool:
     return True
 
 
-def _rank(rows):
-    m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
 def barycentric_coordinates(p, simplex, d):
     """Barycentric coordinates of p w.r.t. an affinely independent simplex.
 
     Returns a list of Fractions summing to 1, or None when p is not in the
-    affine hull of the simplex.
+    affine hull of the simplex.  Raises NoUniquePoint("underdetermined") when
+    the simplex is affinely dependent and p is in its affine hull.
     """
     k = len(simplex)
     # Equations: sum(l) = 1 and sum(l_i * s_i[t]) = p[t] for each coordinate t.
-    rows = [[Fraction(1)] * k + [Fraction(1)]]
-    for t in range(d):
-        rows.append([Fraction(s[t]) for s in simplex] + [Fraction(p[t])])
-    sol = _solve_unique(rows, k)
-    return sol
-
-
-def _solve_unique(aug_rows, nvars):
-    """Solve an augmented system; None if inconsistent, raises on freedom."""
-    m = [row[:] for row in aug_rows]
-    pivots = {}
-    row = 0
-    for col in range(nvars):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / Fraction(m[row][col])
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    for r in range(row, len(m)):
-        if m[r][-1] != 0:
-            return None  # inconsistent
-    if len(pivots) < nvars:
+    rows = [[1] * (k + 1)] + [[s[t] for s in simplex] + [p[t]] for t in range(d)]
+    m, pivots, den, _ = _reduce(rows, k)
+    if any(row[-1] for row in m[len(pivots):]):
+        return None
+    if len(pivots) < k:
         raise NoUniquePoint("underdetermined")
-    return [m[pivots[c]][-1] for c in range(nvars)]
+    return [Fraction(row[-1], den) for row in m[:k]]
 
 
 def hull_membership(p, points, d=None):
@@ -289,41 +273,20 @@ def affine_intersection_point(blocks, d=None):
     for blk in blocks:
         b0 = blk[0]
         for t in range(d):
-            row = [Fraction(0)] * (nvars + 1)
-            row[t] = Fraction(1)
+            row = [0] * (nvars + 1)
+            row[t] = 1
             for i, s in enumerate(blk[1:]):
-                row[off + i] = Fraction(b0[t] - s[t])
-            row[-1] = Fraction(b0[t])
+                row[off + i] = b0[t] - s[t]
+            row[-1] = b0[t]
             rows.append(row)
         off += len(blk) - 1
 
-    # Reduced row echelon form; x must come out uniquely determined.
-    m = rows
-    pivots = {}
-    row = 0
-    for col in range(nvars):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    for r in range(row, len(m)):
-        if m[r][-1] != 0:
-            raise NoUniquePoint("infeasible")
+    m, pivots, den, _ = _reduce(rows, nvars)
+    if any(row[-1] for row in m[len(pivots):]):
+        raise NoUniquePoint("infeasible")
+    # x is unique iff x_0..x_{d-1} are the first d pivots (so row t solves
+    # for x_t) and no free parameter enters those rows.
     free = [c for c in range(nvars) if c not in pivots]
-    point = []
-    for t in range(d):
-        if t not in pivots:
-            raise NoUniquePoint("underdetermined")
-        r = pivots[t]
-        if any(m[r][c] != 0 for c in free):
-            raise NoUniquePoint("underdetermined")
-        point.append(m[r][-1])
-    return tuple(point)
+    if pivots[:d] != list(range(d)) or any(m[t][c] for t in range(d) for c in free):
+        raise NoUniquePoint("underdetermined")
+    return tuple(Fraction(m[t][-1], den) for t in range(d))

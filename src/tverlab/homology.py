@@ -21,7 +21,12 @@ DEFAULT_FACE_BUDGET = 200_000
 
 def face_budget():
     value = os.environ.get("TVERBERG_FACE_BUDGET")
-    return int(value) if value else DEFAULT_FACE_BUDGET
+    if not value:
+        return DEFAULT_FACE_BUDGET
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise InvalidParameters(f"TVERBERG_FACE_BUDGET={value!r} is not an integer") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -97,6 +98,30 @@ def test_timing_flag_adds_wall_clock():
 def test_usage_error_exit_2():
     assert run_cli("bogus").returncode == 2
     assert run_cli("count").returncode == 2  # missing required --d/--q
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        pytest.param(("search", "--q", "3", "--d", "2", "--graph", "blob3"), {}, id="family"),
+        pytest.param(("search", "--q", "3", "--d", "2", "--graph", "edges:0-x"), {}, id="edge"),
+        pytest.param(("constrain", "--input", "no-such-file.cfg"), {}, id="missing-input"),
+        pytest.param(
+            ("complex", "--check", "lemmas"), {"TVERBERG_FACE_BUDGET": "many"}, id="bad-budget"
+        ),
+        pytest.param(("count", "--d", "0", "--q", "3", "--samples", "1"), {}, id="d0"),
+        pytest.param(("count", "--d", "2", "--q", "1", "--samples", "1"), {}, id="q1"),
+        pytest.param(("count", "--d", "2", "--q", "3", "--samples", "-1"), {}, id="samples-1"),
+        pytest.param(("verify-all", "--samples", "0"), {}, id="samples0"),
+        pytest.param(("complex", "--check", "chessboard", "--max", "0"), {}, id="max0"),
+    ],
+)
+def test_bad_input_exit_2(args, env):
+    proc = run_cli(*args, env={**os.environ, **env})
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_degenerate_exit_3(tmp_path):

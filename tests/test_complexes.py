@@ -10,7 +10,6 @@ from tverlab.complexes import (
     complex_D,
     complex_D_tilde,
     complex_E,
-    cyclic_action,
     d_subcomplexes,
     deleted_join_of_simplex,
     e_subcomplexes,
@@ -130,7 +129,7 @@ def test_nerve_disjoint_pair():
 
 
 def test_invariance_of_named_complexes():
-    action = cyclic_action(5)
+    action = regular_prime_power_action(5)
     for K in (chessboard(3, 5), complex_C(2, 5), complex_D(2, 5), complex_E(3, 5)):
         assert invariance_check(K, action)
 
@@ -139,7 +138,7 @@ def test_invariance_fails_for_broken_orbit():
     # deleted join minus a single vertical-edge facet set is not invariant
     K = assignment_complex([0, 1], 3)
     facets = [f for f in K.facets if f != frozenset({(0, 1), (1, 1)})]
-    assert not invariance_check(SimplicialComplex(facets), cyclic_action(3))
+    assert not invariance_check(SimplicialComplex(facets), regular_prime_power_action(3))
 
 
 def test_goodness_chessboard_rows():

@@ -11,6 +11,7 @@ from tverlab.geometry import (
     OUTSIDE,
     PointConfiguration,
     affine_intersection_point,
+    barycentric_coordinates,
     common_point,
     effective_general_position,
     hull_membership,
@@ -39,17 +40,41 @@ def test_orientation_dimension_mismatch():
 
 
 coord = st.integers(min_value=-50, max_value=50)
+rational = st.one_of(coord, st.fractions(min_value=-50, max_value=50, max_denominator=9))
 
 
-@given(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=4), st.permutations(range(4)))
+def _laplace_det(rows):
+    """Cofactor expansion along the first row: a slow, independent reference."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * v * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, v in enumerate(rows[0])
+    )
+
+
+# d=3 takes det's 3x3 closed form; d=4 with Fraction coordinates takes the
+# elimination kernel, including rows whose denominators must be cleared.
+simplices = st.one_of(
+    st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=4),
+    st.lists(st.tuples(*[rational] * 4), min_size=5, max_size=5),
+)
+
+
+@given(simplices, st.data())
 @settings(max_examples=100)
-def test_orientation_alternating(points, perm):
-    base = orientation(points, 3)
-    permuted = orientation([points[i] for i in perm], 3)
+def test_orientation_alternating(points, data):
+    d = len(points) - 1
+    perm = data.draw(st.permutations(range(d + 1)))
+    base = orientation(points, d)
+    p0 = points[0]
+    reference = _laplace_det([[p[j] - p0[j] for j in range(d)] for p in points[1:]])
+    assert base == (reference > 0) - (reference < 0)
+    permuted = orientation([points[i] for i in perm], d)
     # sign of the permutation
     sign = 1
-    seen = [False] * 4
-    for i in range(4):
+    seen = [False] * (d + 1)
+    for i in range(d + 1):
         if seen[i]:
             continue
         length = 0
@@ -124,7 +149,57 @@ def test_affine_intersection_segments():
 def test_affine_intersection_parallel():
     with pytest.raises(NoUniquePoint) as exc:
         affine_intersection_point([[(0, 0), (1, 0)], [(0, 1), (1, 1)]])
-    assert exc.value.reason in ("infeasible", "underdetermined")
+    assert exc.value.reason == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "blocks, expected",
+    [
+        # coincident lines meet in a whole line
+        ([[(0, 0), (1, 1)], [(2, 2), (F(-1, 2), F(-1, 2))]], "underdetermined"),
+        # skew lines in R^3
+        ([[(0, 0, 0), (1, 0, 0)], [(0, 1, 1), (0, 2, 1)]], "infeasible"),
+        # a plane containing a line
+        ([[(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(1, 1, 0), (2, 3, 0)]], "underdetermined"),
+        # a repeated point leaves a parameter free that does not move x
+        ([[(F(1, 3), 0), (F(1, 3), 0)], [(0, -1), (F(2, 3), 1)]], (F(1, 3), 0)),
+        # a collinear triple spans only a line, which the segment crosses
+        ([[(0, 0), (1, 1), (2, 2)], [(0, 2), (2, 0)]], (1, 1)),
+        ([[(F(1, 2), 0, 0), (F(1, 2), 1, 0)], [(0, F(1, 3), 0), (1, F(1, 3), 0)]],
+         (F(1, 2), F(1, 3), 0)),
+    ],
+)
+def test_affine_intersection_degenerate_blocks(blocks, expected):
+    if isinstance(expected, str):
+        with pytest.raises(NoUniquePoint) as exc:
+            affine_intersection_point(blocks)
+        assert exc.value.reason == expected
+    else:
+        point = affine_intersection_point(blocks)
+        assert point == expected
+        assert all(isinstance(c, Fraction) for c in point)
+
+
+@pytest.mark.parametrize(
+    "p, simplex, expected",
+    [
+        ((F(1, 2), F(1, 4)), [(0, 0), (1, 0), (0, 1)], [F(1, 4), F(1, 2), F(1, 4)]),
+        ((F(1, 3), F(2, 3)), [(0, 0), (1, 2)], [F(2, 3), F(1, 3)]),
+        ((1, 0), [(0, 0), (1, 2)], None),  # off the segment's line
+        ((3, 3), [(1, 1)], None),
+        ((1, 1), [(1, 1)], [1]),
+        ((5, 5), [(0, 0), (1, 1), (2, 2)], "underdetermined"),  # dependent simplex
+        ((5, 0), [(0, 0), (1, 1), (2, 2)], None),
+        ((0, 0), [(0, 0), (0, 0)], "underdetermined"),
+    ],
+)
+def test_barycentric_coordinates(p, simplex, expected):
+    if expected == "underdetermined":
+        with pytest.raises(NoUniquePoint) as exc:
+            barycentric_coordinates(p, simplex, 2)
+        assert exc.value.reason == expected
+    else:
+        assert barycentric_coordinates(p, simplex, 2) == expected
 
 
 def test_affine_intersection_d3():

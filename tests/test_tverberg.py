@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -62,22 +63,35 @@ def test_d1_q3_even_count():
     assert len(records) >= 2
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_oracle_equivalence_d2_q3(seed):
-    config, records = _sample(2, 3, seed)
+def _seeds(*seeds):
+    """Integer-coordinate samples keep their plain seed id; rational ones
+    (every coordinate over its own denominator) are marked as such."""
+    return [pytest.param(s, False, id=str(s)) for s in seeds] + [
+        pytest.param(s, True, id=f"rational-{s}") for s in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("seed, rational", _seeds(1, 2, 3, 4, 5))
+def test_oracle_equivalence_d2_q3(seed, rational):
+    config, records = _sample(2, 3, seed, rational)
     assert [r.partition for r in records] == tverberg_records_oracle(config)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_oracle_equivalence_d1_q3(seed):
-    config, records = _sample(1, 3, seed)
+@pytest.mark.parametrize("seed, rational", _seeds(1, 2, 3))
+def test_oracle_equivalence_d1_q3(seed, rational):
+    config, records = _sample(1, 3, seed, rational)
     assert [r.partition for r in records] == tverberg_records_oracle(config)
 
 
-def _sample(d, q, seed):
+def _sample(d, q, seed, rational=False):
     rng = SplitMix64(seed)
     while True:
         config = sample_configuration(d, q, rng, coord_bound=1000)
+        if rational:
+            points = tuple(
+                tuple(Fraction(c, rng.randint(1, 9)) for c in p) for p in config.points
+            )
+            config = PointConfiguration(d, q, points)
         try:
             return config, tverberg_records(config)
         except Degenerate:
