@@ -95,7 +95,7 @@ def cmd_enumerate(args):
         records = tverberg_records(config)
         report = counting_report(config, records=records)
         report["records"] = [_record_dict(r) for r in records]
-        return report, True
+        return report, report["ok"]
     n = (args.d + 1) * (args.q - 1) + 1
     candidates = list(enumerate_candidate_partitions(n, args.q, args.d))
     report = {
@@ -271,7 +271,9 @@ def build_parser():
 
 # Lower bounds on numeric flags, wherever a command has them.  A value below
 # them would crash or give a report with no evidence behind it.
-FLAG_MINIMUMS = {"d": MIN_D, "q": MIN_Q, "samples": 1, "max": 1}
+FLAG_MINIMUMS = {
+    "d": MIN_D, "q": MIN_Q, "samples": 1, "max": 1, "budget": 1, "records": 0,
+}
 
 
 def main(argv=None):

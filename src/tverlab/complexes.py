@@ -65,9 +65,6 @@ class SimplicialComplex:
             by_dim.setdefault(len(f) - 1, []).append(f)
         return {k: sorted(v, key=sorted) for k, v in sorted(by_dim.items())}
 
-    def f_vector(self):
-        return [len(v) for _, v in sorted(self.faces_by_dim().items())]
-
     def total_faces(self):
         return len(self.faces())
 
@@ -79,9 +76,6 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.facets)} facets, dim {self.dim})"
-
-
-EMPTY = SimplicialComplex([])
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
@@ -402,8 +396,8 @@ class JoinComplex:
     """A join kept in factored form (factors on disjoint row sets).
 
     Facet counts multiply, so the full complex is often far too large to
-    materialize; goodness, invariance, and orbit checks all work
-    factor-wise.
+    build; it is never built.  Goodness, invariance, and orbit checks all
+    work factor-wise.
     """
 
     def __init__(self, factors):
@@ -428,16 +422,6 @@ class JoinComplex:
     @property
     def dim(self):
         return sum(f.dim + 1 for f in self.factors) - 1
-
-    def materialize(self, facet_budget=200_000) -> SimplicialComplex:
-        if self.facet_count() > facet_budget:
-            raise InvalidParameters(
-                f"{self.facet_count()} facets exceed the budget {facet_budget}"
-            )
-        out = EMPTY
-        for f in self.factors:
-            out = join(out, f)
-        return out
 
     def _goodness(self, pairs):
         row_to_factor = {}

@@ -49,7 +49,7 @@ def avoids(partition, graph: ConstraintGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Family specs (the constructive descriptions the recognition works on)
+# Family specs: constructive descriptions of the admissible families
 
 @dataclass(frozen=True)
 class CompleteK:
@@ -156,55 +156,6 @@ def instantiate(spec, n, vertices=None) -> ConstraintGraph:
     if len(vertices) != count or len(set(vertices)) != count:
         raise InvalidParameters("need distinct vertices, one per family slot")
     return ConstraintGraph(n, frozenset(spec.edges_on(list(vertices))))
-
-
-def recognize_component(vertices, edges):
-    """Match one connected component against the family shapes; None when
-    no shape fits (the families do not exhaust all constraint graphs)."""
-    n = len(vertices)
-    m = len(edges)
-    deg = {v: 0 for v in vertices}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    degs = sorted(deg.values(), reverse=True)
-    if m == n * (n - 1) // 2 and n >= 2 and (n < 3 or degs[0] == n - 1):
-        return CompleteK(n)
-    if m == n and all(x == 2 for x in degs) and n >= 3:
-        return Cycle(n)
-    if m == n - 1 and degs[0] == m and n >= 3:
-        return Star(m)
-    if m == n - 1 and degs.count(1) == 2 and all(x <= 2 for x in degs):
-        return Path(m)
-    return None
-
-
-def decompose(graph: ConstraintGraph):
-    """Connected components of the graph's support, with a recognized
-    family spec (or None) per component."""
-    adj = {}
-    for a, b in graph.edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = set()
-    out = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comp = sorted(comp)
-        comp_edges = [e for e in graph.edges if e[0] in comp]
-        out.append((comp, recognize_component(comp, comp_edges)))
-    return out
 
 
 # ---------------------------------------------------------------------------

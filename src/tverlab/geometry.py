@@ -3,12 +3,15 @@
 Points are tuples of exact scalars (`int` or `fractions.Fraction`); every
 operation here is a pure function of its inputs and bit-reproducible.
 
-Every linear system (determinants above 3x3, ranks, barycentric
-coordinates, affine-hull intersections) goes through one kernel, `_reduce`:
-it clears each row's denominators and runs fraction-free Gauss-Jordan
-elimination on plain integers.  A result that needs division becomes a
-Fraction only when it is returned.  Determinants up to 3x3, the hot path of
-`orientation`, use closed forms.
+Every linear system (determinants above 3x3, barycentric coordinates,
+affine-hull intersections) goes through one kernel, `_reduce`: it clears
+each row's denominators and runs fraction-free Gauss-Jordan elimination on
+plain integers.  A result that needs division becomes a Fraction only when
+it is returned.  Determinants up to 3x3, the hot path of `orientation`, use
+closed forms.
+
+`hull_membership` is the one point-in-simplex predicate.  `common_point`
+goes through the exact LP instead and serves as the independent check.
 """
 
 import math
@@ -16,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NoUniquePoint
+from .errors import Degenerate, DimensionMismatch, NoUniquePoint
 from .lp import lp_feasible
 
 INSIDE = "Inside"
@@ -138,12 +141,6 @@ class PointConfiguration:
         return len(self.points)
 
 
-def affinely_independent(points, d):
-    p0 = points[0]
-    rows = [[p[j] - p0[j] for j in range(d)] for p in points[1:]]
-    return len(_reduce(rows, d)[1]) == len(points) - 1
-
-
 def effective_general_position(config: PointConfiguration) -> bool:
     """True iff every (d+1)-subset of the points is affinely independent."""
     return points_in_general_position(config.points, config.d)
@@ -174,42 +171,42 @@ def barycentric_coordinates(p, simplex, d):
     return [Fraction(row[-1], den) for row in m[:k]]
 
 
-def hull_membership(p, points, d=None):
-    """Exact trichotomy of p versus conv(points).
+def hull_membership(p, simplex, d=None):
+    """Exact Inside/Boundary/Outside of p versus the hull of a simplex.
 
-    Inside means p admits an all-strictly-positive barycentric certificate on
-    some affinely independent support of at most d+1 points; Boundary means
-    p is in the hull but no such certificate exists.
+    The simplex has 1 to d+1 points.  A full one (d+1 points) is decided by
+    d+1 orientation signs, with no division, and raises Degenerate when its
+    points are affinely dependent.  A lower-dimensional one is decided by
+    barycentric coordinates, which raise NoUniquePoint("underdetermined")
+    when its points are dependent and p is in their affine hull.
     """
-    if not points:
-        raise DimensionMismatch("empty point set")
     if d is None:
         d = len(p)
-    if len(p) != d or any(len(s) != d for s in points):
-        raise DimensionMismatch("coordinate arity mismatch")
+    if not simplex or len(simplex) > d + 1:
+        raise DimensionMismatch(f"need 1 to {d + 1} points, got {len(simplex)}")
 
-    if len(points) <= d + 1 and affinely_independent(points, d):
-        coords = barycentric_coordinates(p, points, d)
-        if coords is None:
-            return OUTSIDE
-        if any(c < 0 for c in coords):
+    if len(simplex) <= d:
+        if len(p) != d or set(map(len, simplex)) != {d}:
+            raise DimensionMismatch("coordinate arity mismatch")
+        coords = barycentric_coordinates(p, simplex, d)
+        if coords is None or any(c < 0 for c in coords):
             return OUTSIDE
         return INSIDE if all(c > 0 for c in coords) else BOUNDARY
 
-    # General case: exact LP membership, then search for a strict support.
-    n = len(points)
-    A = [[1] * n] + [[s[t] for s in points] for t in range(d)]
-    b = [1] + [p[t] for t in range(d)]
-    if lp_feasible(A, b) is None:
-        return OUTSIDE
-    for size in range(1, d + 2):
-        for support in combinations(points, size):
-            if not affinely_independent(list(support), d):
-                continue
-            coords = barycentric_coordinates(p, list(support), d)
-            if coords is not None and all(c > 0 for c in coords):
-                return INSIDE
-    return BOUNDARY
+    simplex = list(simplex)
+    base = orientation(simplex, d)  # checks every point's arity, p's below
+    if base == 0:
+        raise Degenerate("affinely dependent block")
+    verdict = INSIDE
+    for i in range(d + 1):
+        replaced = simplex.copy()
+        replaced[i] = p
+        s = orientation(replaced, d)
+        if s == 0:
+            verdict = BOUNDARY
+        elif s != base:
+            return OUTSIDE
+    return verdict
 
 
 def common_point(blocks, d=None):

@@ -232,13 +232,6 @@ class HomologyProfile:
     def is_trivial(self, i):
         return self.betti.get(i, 0) == 0 and not self.torsion.get(i, [])
 
-    def as_dict(self):
-        return {
-            "coefficients": self.coefficients,
-            "betti": dict(self.betti),
-            "torsion": {k: list(v) for k, v in self.torsion.items()},
-        }
-
 
 def _check_budget(K):
     budget = face_budget()

@@ -1,13 +1,10 @@
-"""Exact rational linear programming.
+"""Exact phase-1 feasibility.
 
-A small dense two-phase simplex over `fractions.Fraction` with Bland's
-anti-cycling rule.  Problems are given in standard form
-
-    minimize c.x   subject to   A x = b,  x >= 0.
-
-Everything is exact; termination is guaranteed by Bland's rule.  Problem
-sizes in this library are tiny (barycentric variables of a handful of
-blocks), so no sparsity or revised-simplex machinery is needed.
+Decides whether A x = b, x >= 0 has a solution with a small dense simplex
+over `fractions.Fraction` and Bland's anti-cycling rule, which guarantees
+termination.  Problem sizes in this library are tiny (barycentric variables
+of a handful of blocks), so no sparsity or revised-simplex machinery is
+needed.
 """
 
 from fractions import Fraction
@@ -26,17 +23,33 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _simplex(tab, basis, cost, ncols):
-    """Run Bland simplex on tableau rows `tab` (each row: coeffs + rhs).
+def lp_feasible(A, b):
+    """Some x >= 0 with A x = b, as a list of Fractions, or None if none.
 
-    `cost` is the current objective row (reduced costs + negated value).
-    Returns "optimal" or "unbounded"; mutates tab/basis/cost in place.
+    Phase 1 minimizes the sum of one artificial variable per row, starting
+    from the basis of artificials.  The system is feasible iff that minimum
+    is 0; then every artificial still in the basis sits at 0, so x is read
+    straight off the final tableau.
     """
-    m = len(tab)
+    m = len(A)
+    n = len(A[0]) if m else 0
+    tab = []
+    for i in range(m):
+        sign = -1 if b[i] < 0 else 1  # keep the right-hand side >= 0
+        row = [Fraction(sign * v) for v in A[i]]
+        tab.append(row + [ONE if j == i else ZERO for j in range(m)] + [Fraction(sign * b[i])])
+    basis = list(range(n, n + m))
+    ncols = n + m
+    # Reduced costs of the phase-1 objective (sum of artificials) and, last,
+    # its negated value.
+    cost = [-sum(row[j] for row in tab) for j in range(ncols + 1)]
+    cost[n:ncols] = [ZERO] * m
+
     while True:
         col = next((j for j in range(ncols) if cost[j] < 0), None)
         if col is None:
-            return "optimal"
+            break
+        # The objective is bounded below by 0, so some entry is positive.
         row = None
         best = None
         for r in range(m):
@@ -45,77 +58,14 @@ def _simplex(tab, basis, cost, ncols):
                 ratio = tab[r][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
                     best, row = ratio, r
-        if row is None:
-            return "unbounded"
         _pivot(tab, basis, row, col)
         f = cost[col]
-        if f != 0:
-            cost[:] = [a - f * b for a, b in zip(cost, tab[row])]
+        cost = [a - f * v for a, v in zip(cost, tab[row])]
 
-
-def lp_solve(A, b, c):
-    """Solve min c.x, A x = b, x >= 0 exactly.
-
-    Returns (status, x, value) with status in {"optimal", "infeasible",
-    "unbounded"}; x is a list of Fractions when status == "optimal".
-    """
-    m = len(A)
-    n = len(A[0]) if m else len(c)
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-
-    # Phase 1: artificial variables n..n+m-1 form the initial basis.
-    ncols = n + m
-    tab = []
-    for i in range(m):
-        row = A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]]
-        tab.append(row)
-    basis = list(range(n, n + m))
-    cost = [ZERO] * (ncols + 1)
-    for i in range(m):  # objective: sum of artificials, expressed in nonbasics
-        for j in range(ncols + 1):
-            cost[j] -= tab[i][j]
-    for j in range(n, n + m):
-        cost[j] = ZERO
-    _simplex(tab, basis, cost, ncols)
-    if -cost[-1] != 0:
-        return "infeasible", None, None
-
-    # Drive any artificial still basic (at value 0) out of the basis.
-    drop_rows = []
-    for r in range(m):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if tab[r][j] != 0), None)
-            if col is None:
-                drop_rows.append(r)  # redundant constraint
-            else:
-                _pivot(tab, basis, r, col)
-    for r in sorted(drop_rows, reverse=True):
-        del tab[r], basis[r]
-
-    # Phase 2 on original columns.
-    tab = [row[:n] + [row[-1]] for row in tab]
-    cost = c + [ZERO]
-    for r, bi in enumerate(basis):
-        f = cost[bi]
-        if f != 0:
-            cost = [a - f * v for a, v in zip(cost, tab[r])]
-    status = _simplex(tab, basis, cost, n)
-    if status == "unbounded":
-        return "unbounded", None, None
+    if cost[-1] != 0:
+        return None
     x = [ZERO] * n
-    for r, bi in enumerate(basis):
-        x[bi] = tab[r][-1]
-    return "optimal", x, -cost[-1]
-
-
-def lp_feasible(A, b):
-    """Phase-1 feasibility of A x = b, x >= 0; returns an x or None."""
-    n = len(A[0]) if A else 0
-    status, x, _ = lp_solve(A, b, [ZERO] * n)
-    return x if status == "optimal" else None
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = tab[r][-1]
+    return x

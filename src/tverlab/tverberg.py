@@ -14,18 +14,16 @@ or the affine-hull intersection point of the low-dimensional blocks
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import Degenerate, DimensionMismatch, InvalidParameters, NoUniquePoint
 from .geometry import (
     BOUNDARY,
-    INSIDE,
     OUTSIDE,
     PointConfiguration,
-    barycentric_coordinates,
     common_point,
     affine_intersection_point,
     effective_general_position,
+    hull_membership,
     orientation,
     points_in_general_position,
 )
@@ -60,33 +58,6 @@ class BirchInstance:
             )
 
 
-def _simplex_membership(point, simplex, d):
-    """Inside/Boundary/Outside for a full-dimensional simplex via d+1
-    orientation tests (cheap path: no division)."""
-    base = orientation(list(simplex), d)
-    if base == 0:
-        raise Degenerate("affinely dependent block")
-    verdict = INSIDE
-    for i in range(d + 1):
-        replaced = list(simplex)
-        replaced[i] = point
-        s = orientation(replaced, d)
-        if s == 0:
-            verdict = BOUNDARY
-        elif s != base:
-            return OUTSIDE
-    return verdict
-
-
-def _low_block_membership(point, block, d):
-    """Membership of the intersection point in a lower-dimensional simplex,
-    via barycentric coordinates."""
-    coords = barycentric_coordinates(point, list(block), d)
-    if coords is None or any(c < 0 for c in coords):
-        return OUTSIDE
-    return INSIDE if all(c > 0 for c in coords) else BOUNDARY
-
-
 def _segments_cross(a, b, c, d_pt):
     """Strict proper crossing test for planar segments; None means a
     boundary-degenerate contact."""
@@ -102,29 +73,28 @@ def _segments_cross(a, b, c, d_pt):
 def is_tverberg(partition, config: PointConfiguration):
     """Classify a candidate partition; returns a TverbergRecord or None.
 
-    Raises Degenerate whenever an exact verdict lands on a boundary, so a
-    non-generic input is surfaced rather than silently resolved.
+    A candidate has q blocks of at most d+1 labels each, n labels in all, so
+    its blocks fall short of d+1 points by d in total.  A lone low block is
+    therefore a singleton (type I); otherwise there are 2 <= k <= min(d, q)
+    low blocks (type II(k)).  Raises InvalidParameters for any other
+    partition, and Degenerate whenever an exact verdict lands on a boundary,
+    so a non-generic input is surfaced rather than silently resolved.
     """
     d, q = config.d, config.q
+    sizes = list(map(len, partition))
+    if len(sizes) != q or max(sizes) > d + 1 or sum(sizes) != config.n:
+        raise InvalidParameters("not a candidate partition")
     pts = config.points
     blocks = [tuple(pts[i] for i in blk) for blk in partition]
     full = [b for b in blocks if len(b) == d + 1]
     low = [b for b in blocks if len(b) <= d]
 
-    if len(low) == 1 and len(low[0]) == 1 and len(full) == q - 1:
-        # Type I candidate.
-        v = low[0][0]
-        for simplex in full:
-            verdict = _simplex_membership(v, simplex, d)
-            if verdict == OUTSIDE:
-                return None
-            if verdict == BOUNDARY:
-                raise Degenerate("singleton on a block-hull boundary")
-        return TverbergRecord(canonical(partition), TYPE_I, None, tuple(v))
-
-    k = len(low)
-    if 2 <= k <= min(d, q) and len(full) == q - k:
-        # Type II candidate: intersect the low-dimensional affine hulls.
+    if len(low) == 1:  # type I: the lone low block is a singleton
+        ptype, k, point = TYPE_I, None, low[0][0]
+        on_boundary = "singleton on a block-hull boundary"
+    else:  # type II(k): intersect the low-dimensional affine hulls
+        ptype, k = TYPE_II, len(low)
+        on_boundary = "intersection point on a block-hull boundary"
         if d == 2 and k == 2 and all(len(b) == 2 for b in low):
             crossing = _segments_cross(low[0][0], low[0][1], low[1][0], low[1][1])
             if crossing is None:
@@ -138,29 +108,23 @@ def is_tverberg(partition, config: PointConfiguration):
                 return None
             raise Degenerate("affine hulls meet in more than a point") from exc
         for b in low:
-            verdict = _low_block_membership(point, b, d)
+            verdict = hull_membership(point, b, d)
             if verdict == OUTSIDE:
                 return None
             if verdict == BOUNDARY:
                 raise Degenerate("intersection point on a low-block boundary")
-        for simplex in full:
-            verdict = _simplex_membership(point, simplex, d)
-            if verdict == OUTSIDE:
-                return None
-            if verdict == BOUNDARY:
-                raise Degenerate("intersection point on a block-hull boundary")
-        return TverbergRecord(canonical(partition), TYPE_II, k, tuple(point))
-
-    # Shape fits neither type; under general position such a
-    # partition cannot be Tverberg, so a hit signals degeneracy.
-    if common_point([list(b) for b in blocks], d) is not None:
-        raise Degenerate("intersecting partition outside the type classification")
-    return None
+    for simplex in full:
+        verdict = hull_membership(point, simplex, d)
+        if verdict == OUTSIDE:
+            return None
+        if verdict == BOUNDARY:
+            raise Degenerate(on_boundary)
+    return TverbergRecord(canonical(partition), ptype, k, tuple(point))
 
 
-def tverberg_records(config: PointConfiguration, require_gp=True):
+def tverberg_records(config: PointConfiguration):
     """All Tverberg records of the configuration; their count is T(X)."""
-    if require_gp and not effective_general_position(config):
+    if not effective_general_position(config):
         raise Degenerate("configuration not in effective general position")
     records = []
     for partition in enumerate_candidate_partitions(config.n, config.q, config.d):
@@ -246,11 +210,11 @@ def birch_general_position(instance: BirchInstance) -> bool:
     return points_in_general_position(list(instance.points) + [instance.p], instance.d)
 
 
-def birch_records(instance: BirchInstance, require_gp=True):
+def birch_records(instance: BirchInstance):
     """All Birch partitions for p: k blocks of size d+1, each with p
     strictly inside its hull.  The count is B_p(X)."""
     d, k = instance.d, instance.k
-    if require_gp and not birch_general_position(instance):
+    if not birch_general_position(instance):
         raise Degenerate("Birch instance not in general position relative to p")
     labels = range(len(instance.points))
     out = []
@@ -258,7 +222,7 @@ def birch_records(instance: BirchInstance, require_gp=True):
         ok = True
         for blk in partition:
             simplex = [instance.points[i] for i in blk]
-            verdict = _simplex_membership(instance.p, simplex, d)
+            verdict = hull_membership(instance.p, simplex, d)
             if verdict == BOUNDARY:
                 raise Degenerate("query point on a block-hull boundary")
             if verdict == OUTSIDE:

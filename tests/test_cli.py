@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tverlab import cli
 from tverlab.config_io import format_configuration, parse_configuration
 from tverlab.errors import ArityError, ParseError
 
@@ -114,14 +115,41 @@ def test_usage_error_exit_2():
         pytest.param(("count", "--d", "2", "--q", "3", "--samples", "-1"), {}, id="samples-1"),
         pytest.param(("verify-all", "--samples", "0"), {}, id="samples0"),
         pytest.param(("complex", "--check", "chessboard", "--max", "0"), {}, id="max0"),
+        pytest.param(
+            ("search", "--q", "3", "--d", "2", "--graph", "star2", "--budget", "0"),
+            {},
+            id="budget0",
+        ),
+        pytest.param(("verify-all", "--budget", "0"), {}, id="verify-all-budget0"),
+        pytest.param(
+            ("render", "--input", "{cfg}", "--out", "{out}", "--records", "-1"),
+            {},
+            id="records-1",
+        ),
     ],
 )
-def test_bad_input_exit_2(args, env):
+def test_bad_input_exit_2(args, env, tmp_path):
+    cfg = tmp_path / "demo.cfg"  # "{cfg}" in args names a readable configuration
+    cfg.write_text(GOOD)
+    args = [a.format(cfg=cfg, out=tmp_path / "demo.svg") for a in args]
     proc = run_cli(*args, env={**os.environ, **env})
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_enumerate_input_exit_code_follows_checks(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(GOOD)
+    assert cli.main(["enumerate", "--input", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    monkeypatch.setattr(cli, "tverberg_records", lambda config: [])
+    assert cli.main(["enumerate", "--input", str(cfg)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["T"] == 0
+    assert not report["checks"]["lower_bound_(q-d)!"]["ok"]
+    assert not report["ok"]
 
 
 def test_degenerate_exit_3(tmp_path):

@@ -11,11 +11,9 @@ from tverlab.constraints import (
     Star,
     avoids,
     constrained_records,
-    decompose,
     deleted_edges_k3q2,
     family_admissible,
     instantiate,
-    recognize_component,
     sample_configuration,
     witness_search,
 )
@@ -92,21 +90,6 @@ def test_deleted_edges():
 def test_instantiate_star():
     g = instantiate(Star(2), 7)
     assert g.edges == frozenset([(0, 1), (0, 2)])
-
-
-def test_recognize_and_decompose():
-    g = instantiate(DisjointUnion((CompleteK(2), Path(2))), 7)
-    parts = decompose(g)
-    assert len(parts) == 2
-    specs = [spec for _, spec in parts]
-    assert all(spec is not None for spec in specs)
-    assert any(isinstance(spec, (CompleteK, Star, Path)) for spec in specs)
-
-
-def test_recognize_component_cycle():
-    spec = recognize_component([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert isinstance(spec, Cycle)
-    assert spec.l == 4
 
 
 def _sample(d, q, seed):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tverlab.errors import Degenerate, DimensionMismatch, NoUniquePoint
@@ -124,6 +124,41 @@ def test_hull_membership_vertex_is_boundary():
     assert hull_membership((1, 0), TRIANGLE) == BOUNDARY
 
 
+@pytest.mark.parametrize(
+    "p, simplex, expected",
+    [
+        ((0, 0), [(-1, 0), (1, 0)], INSIDE),
+        ((1, 0), [(-1, 0), (1, 0)], BOUNDARY),
+        ((0, 1), [(-1, 0), (1, 0)], OUTSIDE),
+        ((2, 0), [(-1, 0), (1, 0)], OUTSIDE),
+        ((3, 4), [(3, 4)], INSIDE),
+        ((3, 5), [(3, 4)], OUTSIDE),
+    ],
+)
+def test_hull_membership_low_simplex(p, simplex, expected):
+    assert hull_membership(p, simplex) == expected
+
+
+@pytest.mark.parametrize(
+    "p, simplex",
+    [
+        ((0, 0), TRIANGLE + [(0, -1)]),  # d+2 points
+        ((0, 0), []),
+        ((0, 0, 0), TRIANGLE),
+        ((0, 0), [(0, 0, 0), (1, 0, 0)]),
+    ],
+)
+def test_hull_membership_dimension_mismatch(p, simplex):
+    with pytest.raises(DimensionMismatch):
+        hull_membership(p, simplex, 2)
+
+
+def test_hull_membership_dependent_full_simplex():
+    with pytest.raises(Degenerate) as exc:
+        hull_membership((1, 1), [(0, 0), (1, 1), (2, 2)])
+    assert str(exc.value) == "affinely dependent block"
+
+
 def test_common_point_crossing_segments():
     p = common_point([[(-1, 0), (1, 0)], [(0, -1), (0, 1)]])
     assert p == (0, 0)
@@ -207,12 +242,19 @@ def test_affine_intersection_d3():
     assert affine_intersection_point(blocks) == (0, 0, 0)
 
 
+def _assume_independent(points):
+    assume(len(set(points)) == len(points))
+    if len(points) == 3:
+        assume(orientation(points, 2) != 0)
+
+
 @given(
-    st.lists(st.tuples(coord, coord), min_size=3, max_size=6),
+    st.lists(st.tuples(coord, coord), min_size=1, max_size=3),
     st.tuples(coord, coord),
 )
 @settings(max_examples=150)
 def test_membership_vs_common_point(hull_points, p):
+    _assume_independent(hull_points)
     verdict = hull_membership(p, hull_points)
     joint = common_point([[p], hull_points])
     if verdict == OUTSIDE:
@@ -224,4 +266,5 @@ def test_membership_vs_common_point(hull_points, p):
 @given(st.lists(st.tuples(coord, coord), min_size=3, max_size=3), st.tuples(coord, coord))
 @settings(max_examples=100)
 def test_exactness_reruns_identical(tri, p):
+    _assume_independent(tri)
     assert hull_membership(p, tri) == hull_membership(p, tri)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverlab.constraints import sample_configuration
-from tverlab.errors import Degenerate
-from tverlab.geometry import PointConfiguration
+from tverlab.errors import Degenerate, InvalidParameters
+from tverlab.geometry import PointConfiguration, barycentric_coordinates
+from tverlab.partitions import enumerate_candidate_partitions
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import (
     BirchInstance,
@@ -48,6 +49,39 @@ def test_radon_records_count():
     records = tverberg_records(RADON)
     assert len(records) == 1
     assert records[0].partition == ((0, 2), (1,))
+
+
+# Every (d, q) with at most 20,000 candidate partitions.
+SMALL_PAIRS = [
+    (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4),
+    (3, 2), (3, 3), (4, 2), (4, 3), (5, 2),
+]
+
+
+@pytest.mark.parametrize("d,q", SMALL_PAIRS)
+def test_every_candidate_fits_a_type(d, q):
+    n = (d + 1) * (q - 1) + 1
+    for partition in enumerate_candidate_partitions(n, q, d):
+        low = [len(b) for b in partition if len(b) <= d]
+        full = len(partition) - len(low)
+        type_one = low == [1] and full == q - 1
+        type_two = 2 <= len(low) <= min(d, q) and full == q - len(low)
+        assert type_one or type_two, partition
+
+
+@pytest.mark.parametrize(
+    "partition, config",
+    [
+        (((0,), (1,), (2,)), RADON),  # three blocks for q = 2
+        (((0,), (1,)), RADON),  # labels missing
+        (((0, 1, 2), (3,), (4,)), PointConfiguration(1, 3, ((0,), (1,), (2,), (3,), (4,)))),
+    ],
+    ids=["block-count", "size-sum", "oversized-block"],
+)
+def test_is_tverberg_rejects_non_candidates(partition, config):
+    with pytest.raises(InvalidParameters) as exc:
+        is_tverberg(partition, config)
+    assert str(exc.value) == "not a candidate partition"
 
 
 def test_degenerate_refused():
@@ -99,13 +133,11 @@ def _sample(d, q, seed, rational=False):
 
 
 def test_records_reverified_inside():
-    from tverlab.geometry import INSIDE, hull_membership
-
     config, records = _sample(2, 3, 9)
     for record in records:
         for block in record.partition:
             pts = [config.points[i] for i in block]
-            assert hull_membership(record.point, pts) == INSIDE
+            assert all(c > 0 for c in barycentric_coordinates(record.point, pts, 2))
 
 
 def test_counting_report_d1_q3():
