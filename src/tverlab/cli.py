@@ -151,6 +151,7 @@ def cmd_search(args):
         ok = not kept  # a witness must survive exact re-enumeration
         report["witness"] = [_point_strings(p) for p in witness.points]
         report["verified"] = ok
+    report["ok"] = ok
     return report, ok
 
 

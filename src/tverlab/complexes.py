@@ -11,12 +11,18 @@ Named subcomplexes (rows are listed first-to-last):
   * complex_C(l, q): no column shared between the apex row and a leaf row;
   * complex_D(l, q): consecutive rows use distinct columns;
   * complex_E(l, q): complex_D's rule plus first row != last row.
+
+C, D and E (and the full assignment complex) are built by one ruled builder
+from their rule on column tuples; their decompositions into cones and D^k,
+E^i subcomplexes split them by the column of one row.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import ne
 
 from .errors import InvalidParameters, LabelCollision, LabelFormat
+from .tverberg import prime_power
 
 
 class SimplicialComplex:
@@ -37,6 +43,11 @@ class SimplicialComplex:
                     maximal.add(f)
         self.facets = frozenset(maximal)
         self._faces = None
+
+    @property
+    def factors(self):
+        """A plain complex is its own single join factor."""
+        return (self,)
 
     @property
     def vertices(self):
@@ -89,13 +100,47 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(f1 | f2 for f1 in k1.facets for f2 in k2.facets)
 
 
+def _ruled_complex(rows, q, keep) -> SimplicialComplex:
+    """Assignments of `rows` (in order) to columns 1..q whose column tuple
+    passes `keep`."""
+    rows = list(rows)
+    return SimplicialComplex(
+        frozenset(zip(rows, cols))
+        for cols in product(range(1, q + 1), repeat=len(rows))
+        if keep(cols)
+    )
+
+
+def _apex_apart(cols):
+    return cols[0] not in cols[1:]
+
+
+def _walk(cols):
+    return all(map(ne, cols, cols[1:]))
+
+
+def _closed_walk(cols):
+    return cols[0] != cols[-1] and _walk(cols)
+
+
+def split_by_column(K: SimplicialComplex, row, q):
+    """{c: facets of K that put `row` in column c} for c = 1..q."""
+    return {
+        c: SimplicialComplex(f for f in K.facets if (row, c) in f) for c in range(1, q + 1)
+    }
+
+
+def _rows_for(rows, count, message):
+    rows = list(range(count)) if rows is None else list(rows)
+    if len(rows) != count:
+        raise InvalidParameters(message)
+    return rows
+
+
 def assignment_complex(rows, q) -> SimplicialComplex:
     """All assignments of the given rows to columns 1..q (the pairwise
     deleted join restricted to these rows)."""
-    rows = list(rows)
-    return SimplicialComplex(
-        frozenset(zip(rows, cols)) for cols in product(range(1, q + 1), repeat=len(rows))
-    )
+    return _ruled_complex(rows, q, lambda cols: True)
 
 
 def deleted_join_of_simplex(n, p) -> SimplicialComplex:
@@ -125,64 +170,19 @@ def chessboard(m, n) -> SimplicialComplex:
     return chessboard_on(range(m), n)
 
 
-def _sequence_facet(rows, cols):
-    return frozenset(zip(rows, cols))
-
-
 def complex_C(l, q, rows=None) -> SimplicialComplex:
     """Star-constraint complex: apex row (first of `rows`) never shares a
     column with a leaf row.  q(q-1)^l facets."""
     if l < 1 or q < 2:
         raise InvalidParameters("need l >= 1 and q >= 2")
-    if rows is None:
-        rows = list(range(l + 1))
-    if len(rows) != l + 1:
-        raise InvalidParameters("need l+1 rows (apex first)")
-    facets = []
-    for apex_col in range(1, q + 1):
-        others = [c for c in range(1, q + 1) if c != apex_col]
-        for cols in product(others, repeat=l):
-            facets.append(_sequence_facet(rows, (apex_col,) + cols))
-    return SimplicialComplex(facets)
+    rows = _rows_for(rows, l + 1, "need l+1 rows (apex first)")
+    return _ruled_complex(rows, q, _apex_apart)
 
 
 def c_cones(l, q, rows=None):
     """The decomposition of complex_C into the q cones L_m (apex column m)."""
-    if rows is None:
-        rows = list(range(l + 1))
-    cones = []
-    for apex_col in range(1, q + 1):
-        others = [c for c in range(1, q + 1) if c != apex_col]
-        facets = [
-            _sequence_facet(rows, (apex_col,) + cols) for cols in product(others, repeat=l)
-        ]
-        cones.append(SimplicialComplex(facets))
-    return cones
-
-
-def _d_facet_columns(l, q):
-    """Column sequences (c_0..c_l) with consecutive entries distinct."""
-    def rec(prefix):
-        if len(prefix) == l + 1:
-            yield tuple(prefix)
-            return
-        for c in range(1, q + 1):
-            if not prefix or c != prefix[-1]:
-                prefix.append(c)
-                yield from rec(prefix)
-                prefix.pop()
-
-    yield from rec([])
-
-
-def _complex_D_any(l, q, rows=None) -> SimplicialComplex:
-    if rows is None:
-        rows = list(range(l + 1))
-    if len(rows) != l + 1:
-        raise InvalidParameters("need l+1 rows")
-    return SimplicialComplex(
-        _sequence_facet(rows, cols) for cols in _d_facet_columns(l, q)
-    )
+    rows = _rows_for(rows, l + 1, "need l+1 rows (apex first)")
+    return list(split_by_column(complex_C(l, q, rows), rows[0], q).values())
 
 
 def complex_D(l, q, rows=None) -> SimplicialComplex:
@@ -190,19 +190,14 @@ def complex_D(l, q, rows=None) -> SimplicialComplex:
     columns.  q(q-1)^l facets; complex_D(1, q) is the 2-row chessboard."""
     if l < 1 or q < 2:
         raise InvalidParameters("need l >= 1 and q >= 2")
-    return _complex_D_any(l, q, rows)
+    return _ruled_complex(_rows_for(rows, l + 1, "need l+1 rows"), q, _walk)
 
 
 def d_subcomplexes(l, q, rows=None):
-    """The subcomplexes D^k (facets whose last row uses column k), k=1..q."""
-    if rows is None:
-        rows = list(range(l + 1))
-    out = {}
-    for k in range(1, q + 1):
-        out[k] = SimplicialComplex(
-            _sequence_facet(rows, cols) for cols in _d_facet_columns(l, q) if cols[-1] == k
-        )
-    return out
+    """The subcomplexes D^k (facets whose last row uses column k), k=1..q.
+    Here l may be 0 (a single row)."""
+    rows = _rows_for(rows, l + 1, "need l+1 rows")
+    return split_by_column(_ruled_complex(rows, q, _walk), rows[-1], q)
 
 
 def complex_E(l, q, rows=None) -> SimplicialComplex:
@@ -210,47 +205,23 @@ def complex_E(l, q, rows=None) -> SimplicialComplex:
     first row != last row.  (q-1)^l + (-1)^l (q-1) facets."""
     if l < 3 or q < 2:
         raise InvalidParameters("need l >= 3 and q >= 2")
-    if rows is None:
-        rows = list(range(l))
-    if len(rows) != l:
-        raise InvalidParameters("need l rows")
-    return SimplicialComplex(
-        _sequence_facet(rows, cols)
-        for cols in _d_facet_columns(l - 1, q)
-        if cols[0] != cols[-1]
-    )
+    return _ruled_complex(_rows_for(rows, l, "need l rows"), q, _closed_walk)
 
 
 def e_subcomplexes(l, q, rows=None):
     """The subcomplexes E^i: facets ending in column i with first row != i."""
-    if rows is None:
-        rows = list(range(l))
-    out = {}
-    for i in range(1, q + 1):
-        out[i] = SimplicialComplex(
-            _sequence_facet(rows, cols)
-            for cols in _d_facet_columns(l - 1, q)
-            if cols[-1] == i and cols[0] != i
-        )
-    return out
-
-
-def induced_deletion(K: SimplicialComplex, removed_vertices) -> SimplicialComplex:
-    """Delete every face containing one of the given vertices (the induced
-    subcomplex on the remaining vertices)."""
-    removed = frozenset(removed_vertices)
-    return SimplicialComplex(f - removed for f in K.facets)
+    rows = _rows_for(rows, l, "need l rows")
+    return split_by_column(complex_E(l, q, rows), rows[-1], q)
 
 
 def complex_D_tilde(i, S, l, q, rows=None) -> SimplicialComplex:
     """Subcomplex of D^i obtained by deleting all faces with a first-row
     vertex in the column set S."""
-    if rows is None:
-        rows = list(range(l + 1))
+    rows = _rows_for(rows, l + 1, "need l+1 rows")
     if not set(S) <= set(range(1, q + 1)):
         raise InvalidParameters("S must be a set of columns 1..q")
-    di = d_subcomplexes(l, q, rows)[i]
-    return induced_deletion(di, {(rows[0], c) for c in S})
+    removed = {(rows[0], c) for c in S}
+    return SimplicialComplex(f - removed for f in d_subcomplexes(l, q, rows)[i].facets)
 
 
 def nerve(family) -> SimplicialComplex:
@@ -296,26 +267,13 @@ class GroupAction:
         return sorted(seen)
 
 
-def _prime_power_decompose(q):
-    f = 2
-    n = q
-    while f * f <= n:
-        if n % f == 0:
-            r = 0
-            while n % f == 0:
-                n //= f
-                r += 1
-            if n != 1:
-                raise InvalidParameters(f"q={q} is not a prime power")
-            return f, r
-        f += 1
-    return q, 1
-
-
 def regular_prime_power_action(q) -> GroupAction:
     """The regular action of (Z_p)^r on itself, columns identified with
     F_p^r by the base-p digits of column-1 (column c <-> digits of c-1)."""
-    p, r = _prime_power_decompose(q)
+    parts = prime_power(q)
+    if parts is None:
+        raise InvalidParameters(f"q={q} is not a prime power")
+    p, r = parts
     gens = []
     for i in range(r):
         step = p**i
@@ -337,32 +295,48 @@ def _apply(g, facet):
 
 
 def invariance_check(K, action: GroupAction) -> bool:
-    """True iff every generator maps the facet set onto itself."""
-    if isinstance(K, JoinComplex):
-        return all(invariance_check(f, action) for f in K.factors)
-    for g in action.generators:
-        if frozenset(_apply(g, f) for f in K.facets) != K.facets:
-            return False
-    return True
+    """True iff every generator maps each factor's facet set onto itself."""
+    return all(
+        frozenset(_apply(g, f) for f in factor.facets) == factor.facets
+        for factor in K.factors
+        for g in action.generators
+    )
 
 
 def goodness_check(K, constrained_row_pairs) -> bool:
     """True iff no face holds both ends of a constrained row pair in the
-    same column (no 'vertical edge' for those pairs)."""
-    pairs = [tuple(p) for p in constrained_row_pairs]
-    if isinstance(K, JoinComplex):
-        return K._goodness(pairs)
-    for f in K.facets:
-        cols = {}
-        for v in f:
+    same column (no 'vertical edge' for those pairs).
+
+    Facets combine freely across join factors, so a pair split across two
+    factors is violated iff its rows share a column; the pairs inside one
+    factor are checked in one scan of that factor's facets.
+    """
+    factor_of = {}  # row -> index of the factor holding it
+    cols_of = {}  # row -> columns used by some vertex of that row
+    for idx, factor in enumerate(K.factors):
+        for v in factor.vertices:
             try:
                 row, col = v
             except (TypeError, ValueError) as exc:
                 raise LabelFormat("vertices must be (row, column) pairs") from exc
-            cols.setdefault(col, set()).add(row)
-        for rows in cols.values():
-            for r1, r2 in pairs:
-                if r1 in rows and r2 in rows:
+            factor_of[row] = idx
+            cols_of.setdefault(row, set()).add(col)
+    inner = {}  # factor index -> constrained pairs inside it
+    for r1, r2 in constrained_row_pairs:
+        if r1 not in factor_of or r2 not in factor_of:
+            continue  # a row absent from the complex cannot be violated
+        if factor_of[r1] != factor_of[r2]:
+            if cols_of[r1] & cols_of[r2]:
+                return False
+        else:
+            inner.setdefault(factor_of[r1], []).append((r1, r2))
+    for idx, pairs in inner.items():
+        for f in K.factors[idx].facets:
+            rows_at = {}
+            for row, col in f:
+                rows_at.setdefault(col, set()).add(row)
+            for rows in rows_at.values():
+                if any(r1 in rows and r2 in rows for r1, r2 in pairs):
                     return False
     return True
 
@@ -370,10 +344,9 @@ def goodness_check(K, constrained_row_pairs) -> bool:
 def vertex_orbit_sizes(K, action: GroupAction):
     """Sizes of the vertex orbits under the full generated group; an orbit
     leaving the complex's vertex set reports its full size regardless."""
-    factors = K.factors if isinstance(K, JoinComplex) else [K]
     elements = action.elements()
     sizes = []
-    for factor in factors:
+    for factor in K.factors:
         verts = factor.vertices
         seen = set()
         for v in sorted(verts):
@@ -409,12 +382,6 @@ class JoinComplex:
                 raise LabelCollision("join factors share rows")
             rows_seen |= rows
 
-    def facet_count(self):
-        count = 1
-        for f in self.factors:
-            count *= len(f.facets)
-        return count
-
     @property
     def vertices(self):
         return frozenset(v for f in self.factors for v in f.vertices)
@@ -422,45 +389,6 @@ class JoinComplex:
     @property
     def dim(self):
         return sum(f.dim + 1 for f in self.factors) - 1
-
-    def _goodness(self, pairs):
-        row_to_factor = {}
-        for idx, f in enumerate(self.factors):
-            for v in f.vertices:
-                row_to_factor[v[0]] = idx
-        cols_of = [
-            {} for _ in self.factors
-        ]  # per factor: row -> set of columns used by some vertex
-        for idx, f in enumerate(self.factors):
-            for row, col in f.vertices:
-                cols_of[idx].setdefault(row, set()).add(col)
-        for r1, r2 in pairs:
-            if r1 not in row_to_factor or r2 not in row_to_factor:
-                continue  # a row absent from the complex cannot be violated
-            i1, i2 = row_to_factor[r1], row_to_factor[r2]
-            if i1 == i2:
-                if not goodness_check(self.factors[i1], [(r1, r2)]):
-                    return False
-            else:
-                # Facets combine freely across factors, so any shared
-                # column between the two rows appears in some facet.
-                if cols_of[i1][r1] & cols_of[i2][r2]:
-                    return False
-        return True
-
-
-def _component_complex(spec, q, rows):
-    from .constraints import CompleteK, Cycle, Path, Star
-
-    if isinstance(spec, CompleteK):
-        return chessboard_on(rows, q)
-    if isinstance(spec, Star):
-        return complex_C(spec.l, q, rows)
-    if isinstance(spec, Path):
-        return complex_D(spec.l, q, rows)
-    if isinstance(spec, Cycle):
-        return complex_E(spec.l, q, rows)
-    raise InvalidParameters(f"not a family component: {spec!r}")
 
 
 def good_subcomplex(spec, q, d, rows=None) -> JoinComplex:
@@ -471,7 +399,7 @@ def good_subcomplex(spec, q, d, rows=None) -> JoinComplex:
     0, 1, 2, ...); for a Star the first row is the center, for Path/Cycle
     the rows follow the path/cycle order.
     """
-    from .constraints import DisjointUnion, family_admissible
+    from .constraints import family_admissible
 
     if not family_admissible(spec, q, d):
         raise InvalidParameters(f"{spec!r} is not an admissible family for q={q}, d={d}")
@@ -481,12 +409,10 @@ def good_subcomplex(spec, q, d, rows=None) -> JoinComplex:
         rows = list(range(count))
     if len(rows) != count or not set(rows) <= set(range(n_rows)):
         raise InvalidParameters("row assignment must pick distinct rows 0..N")
-    parts = spec.parts if isinstance(spec, DisjointUnion) else (spec,)
     factors = []
     off = 0
-    for part in parts:
-        part_rows = rows[off : off + part.vertex_count()]
-        factors.append(_component_complex(part, q, part_rows))
+    for part in spec.parts:
+        factors.append(part.complex(q, rows[off : off + part.vertex_count()]))
         off += part.vertex_count()
     for row in range(n_rows):
         if row not in rows:
@@ -549,7 +475,7 @@ def verify_intersection_identities(l, q):
     if l >= 4 and q >= 5:
         e_l = {i: _face_set(K) for i, K in e_subcomplexes(l, q).items()}
         lhs = set.intersection(*(e_l[i] for i in cols))
-        middle = _complex_D_any(l - 4, q, rows=list(range(1, l - 2)))
+        middle = _ruled_complex(range(1, l - 2), q, _walk)
         _record(report, "E eq6", lhs, _face_set(middle))
         for k in cols:
             lhs = set.intersection(*(e_l[i] for i in cols if i != k))

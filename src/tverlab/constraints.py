@@ -8,8 +8,10 @@ cycles C_l with l <= (d+1)(q-1)+1 and q > 4, and vertex-disjoint unions of
 those.
 """
 
+import math
 from dataclasses import dataclass, field
 
+from .complexes import chessboard_on, complex_C, complex_D, complex_E
 from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
 from .geometry import PointConfiguration, common_point, points_in_general_position
 from .partitions import enumerate_candidate_partitions
@@ -49,10 +51,20 @@ def avoids(partition, graph: ConstraintGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Family specs: constructive descriptions of the admissible families
+# Family specs: constructive descriptions of the admissible families.  Each
+# connected family states its own facts: its edges, when it is admissible
+# (for prime-power q > 2 and n_labels = (d+1)(q-1)+1), its good complex on
+# given rows with columns 1..q, and that complex's facet count.
+# family_admissible has already refused l <= 0.
+
+class _Connected:
+    @property
+    def parts(self):
+        return (self,)
+
 
 @dataclass(frozen=True)
-class CompleteK:
+class CompleteK(_Connected):
     l: int  # noqa: E741 - parameter name mirrors K_l
 
     def vertex_count(self):
@@ -61,9 +73,18 @@ class CompleteK:
     def edges_on(self, vertices):
         return [(vertices[i], vertices[j]) for i in range(self.l) for j in range(i + 1, self.l)]
 
+    def admissible(self, q, n_labels):
+        return self.l >= 2 and 2 * self.l < q + 2
+
+    def complex(self, q, rows):
+        return chessboard_on(rows, q)
+
+    def facet_count(self, q):
+        return math.comb(max(self.l, q), min(self.l, q)) * math.factorial(min(self.l, q))
+
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Connected):
     l: int  # noqa: E741 - K_{1,l}, center plus l leaves
 
     def vertex_count(self):
@@ -72,9 +93,18 @@ class Star:
     def edges_on(self, vertices):
         return [(vertices[0], v) for v in vertices[1:]]
 
+    def admissible(self, q, n_labels):
+        return self.l < q - 1
+
+    def complex(self, q, rows):
+        return complex_C(self.l, q, rows)
+
+    def facet_count(self, q):
+        return q * (q - 1) ** self.l
+
 
 @dataclass(frozen=True)
-class Path:
+class Path(_Connected):
     l: int  # noqa: E741 - P_l on l+1 vertices
 
     def vertex_count(self):
@@ -83,9 +113,18 @@ class Path:
     def edges_on(self, vertices):
         return list(zip(vertices, vertices[1:]))
 
+    def admissible(self, q, n_labels):
+        return self.l <= n_labels - 1 and q > 3
+
+    def complex(self, q, rows):
+        return complex_D(self.l, q, rows)
+
+    def facet_count(self, q):
+        return q * (q - 1) ** self.l
+
 
 @dataclass(frozen=True)
-class Cycle:
+class Cycle(_Connected):
     l: int  # noqa: E741 - C_l on l vertices
 
     def vertex_count(self):
@@ -93,6 +132,15 @@ class Cycle:
 
     def edges_on(self, vertices):
         return list(zip(vertices, vertices[1:])) + [(vertices[-1], vertices[0])]
+
+    def admissible(self, q, n_labels):
+        return self.l >= 3 and self.l <= n_labels and q > 4
+
+    def complex(self, q, rows):
+        return complex_E(self.l, q, rows)
+
+    def facet_count(self, q):
+        return (q - 1) ** self.l + (-1) ** self.l * (q - 1)
 
 
 @dataclass(frozen=True)
@@ -111,19 +159,6 @@ class DisjointUnion:
         return edges
 
 
-def _component_admissible(spec, q, d):
-    n_labels = (d + 1) * (q - 1) + 1
-    if isinstance(spec, CompleteK):
-        return spec.l >= 2 and 2 * spec.l < q + 2
-    if isinstance(spec, Star):
-        return spec.l >= 1 and spec.l < q - 1
-    if isinstance(spec, Path):
-        return spec.l >= 1 and spec.l <= n_labels - 1 and q > 3
-    if isinstance(spec, Cycle):
-        return spec.l >= 3 and spec.l <= n_labels and q > 4
-    raise InvalidParameters(f"not a family component: {spec!r}")
-
-
 def family_admissible(spec, q, d) -> bool:
     """Is this family instance a known constraint graph for (q, d)?
 
@@ -132,19 +167,14 @@ def family_admissible(spec, q, d) -> bool:
     """
     if q <= 2 or not is_prime_power(q):
         raise NotPrimePower(f"q={q} is not a prime power > 2")
-    if any(p <= 0 for p in _int_params(spec)):
+    if not all(isinstance(p, _Connected) for p in spec.parts):
+        raise InvalidParameters(f"not a family component: {spec!r}")
+    if any(p.l <= 0 for p in spec.parts):
         raise InvalidParameters("family parameters must be positive")
-    if isinstance(spec, DisjointUnion):
-        if spec.vertex_count() > (d + 1) * (q - 1) + 1:
-            return False
-        return all(_component_admissible(p, q, d) for p in spec.parts)
-    return _component_admissible(spec, q, d)
-
-
-def _int_params(spec):
-    if isinstance(spec, DisjointUnion):
-        return [p for part in spec.parts for p in _int_params(part)]
-    return [spec.l]
+    n_labels = (d + 1) * (q - 1) + 1
+    if spec.vertex_count() > n_labels:
+        return False
+    return all(p.admissible(q, n_labels) for p in spec.parts)
 
 
 def instantiate(spec, n, vertices=None) -> ConstraintGraph:

@@ -17,6 +17,7 @@ from .constraints import (
     Star,
     avoids,
     constrained_records,
+    family_admissible,
     instantiate,
     sample_configuration,
     witness_search,
@@ -212,16 +213,14 @@ def structural_identities_campaign(max_q=6, max_l=5, identity_cases=((3, 5), (4,
 
     for q in range(2, max_q + 1):
         for m in range(1, max_q + 1):
-            expected = math.comb(max(m, q), min(m, q)) * math.factorial(min(m, q))
-            add(f"chessboard({m},{q})", len(chessboard(m, q).facets) == expected)
+            add(f"chessboard({m},{q})", len(chessboard(m, q).facets) == CompleteK(m).facet_count(q))
         for n in range(0, 4):
             add(f"deleted_join({n},{q})", len(deleted_join_of_simplex(n, q).facets) == q ** (n + 1))
         for l in range(1, max_l + 1):
-            add(f"C({l},{q})", len(complex_C(l, q).facets) == q * (q - 1) ** l)
-            add(f"D({l},{q})", len(complex_D(l, q).facets) == q * (q - 1) ** l)
+            add(f"C({l},{q})", len(complex_C(l, q).facets) == Star(l).facet_count(q))
+            add(f"D({l},{q})", len(complex_D(l, q).facets) == Path(l).facet_count(q))
             if l >= 3:
-                expected = (q - 1) ** l + (-1) ** l * (q - 1)
-                add(f"E({l},{q})", len(complex_E(l, q).facets) == expected)
+                add(f"E({l},{q})", len(complex_E(l, q).facets) == Cycle(l).facet_count(q))
         if q >= 3:
             add(
                 f"E(3,{q}) == chessboard_on 3 rows",
@@ -245,36 +244,17 @@ def structural_identities_campaign(max_q=6, max_l=5, identity_cases=((3, 5), (4,
 
 def _admissible_specs(q, d):
     n_rows = (d + 1) * (q - 1) + 1
-    specs = []
-    for l in range(2, q):
-        if 2 * l < q + 2:
-            specs.append(CompleteK(l))
-    for l in range(1, q - 1):
-        specs.append(Star(l))
-    if q > 3:
-        for l in range(1, n_rows):
-            specs.append(Path(l))
-    if q > 4:
-        for l in range(3, n_rows + 1):
-            specs.append(Cycle(l))
+    candidates = [
+        family(l)
+        for family, low in ((CompleteK, 2), (Star, 1), (Path, 1), (Cycle, 3))
+        for l in range(low, n_rows + 1)
+    ]
     # a couple of union shapes, when they fit
-    if q > 2 and CompleteK(2).vertex_count() * 2 <= n_rows:
-        specs.append(DisjointUnion((CompleteK(2), CompleteK(2))))
-    if q > 3 and 2 + Path(2).vertex_count() <= n_rows:
-        specs.append(DisjointUnion((CompleteK(2), Path(2))))
-    return specs
-
-
-def _factor_facets_within_budget(spec, q, budget):
-    if isinstance(spec, DisjointUnion):
-        return all(_factor_facets_within_budget(p, q, budget) for p in spec.parts)
-    if isinstance(spec, CompleteK):
-        count = math.comb(max(spec.l, q), min(spec.l, q)) * math.factorial(min(spec.l, q))
-    elif isinstance(spec, (Star, Path)):
-        count = q * (q - 1) ** spec.l
-    else:
-        count = (q - 1) ** spec.l + (-1) ** spec.l * (q - 1)
-    return count <= budget
+    candidates += [
+        DisjointUnion((CompleteK(2), CompleteK(2))),
+        DisjointUnion((CompleteK(2), Path(2))),
+    ]
+    return [spec for spec in candidates if family_admissible(spec, q, d)]
 
 
 def goodness_invariance_campaign(factor_budget=DEFAULT_FACTOR_FACET_BUDGET):
@@ -286,12 +266,12 @@ def goodness_invariance_campaign(factor_budget=DEFAULT_FACTOR_FACET_BUDGET):
     for q in (3, 4, 5):
         action = regular_prime_power_action(q)
         for d in (1, 2):
+            n = (d + 1) * (q - 1) + 1
             for spec in _admissible_specs(q, d):
-                if not _factor_facets_within_budget(spec, q, factor_budget):
+                if any(p.facet_count(q) > factor_budget for p in spec.parts):
                     continue
                 L = good_subcomplex(spec, q, d)
-                pairs = _constraint_row_pairs(spec)
-                good = goodness_check(L, pairs)
+                good = goodness_check(L, instantiate(spec, n).edges)
                 invariant = invariance_check(L, action)
                 orbits = vertex_orbit_sizes(L, action)
                 orbits_ok = all(s == q for s in orbits)
@@ -308,7 +288,3 @@ def goodness_invariance_campaign(factor_budget=DEFAULT_FACTOR_FACET_BUDGET):
                     }
                 )
     return {"ok": ok, "results": results}
-
-
-def _constraint_row_pairs(spec):
-    return [tuple(sorted(e)) for e in spec.edges_on(list(range(spec.vertex_count())))]

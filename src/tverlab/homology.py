@@ -3,7 +3,7 @@
 Boundary matrices are assembled over the integers; unit pivots are
 eliminated first with a sparse Markowitz-style sweep (no coefficient
 growth), and whatever small residual remains goes through a classic dense
-Smith reduction.  Z_p coefficients use modular rank instead.
+Smith reduction.  Coefficients are the integers.
 
 Computations refuse complexes with more than `face_budget` total faces
 (default 200000, overridable via the TVERBERG_FACE_BUDGET environment
@@ -162,33 +162,6 @@ def smith_invariants(cols):
     return rank, [f for f in factors if f != 1]
 
 
-def _rank_mod_p(cols, p):
-    cols = [
-        {r: v % p for r, v in col.items() if v % p} for col in cols.values()
-    ]
-    cols = [c for c in cols if c]
-    rank = 0
-    pivots = {}  # row -> reduced column dict
-    for col in cols:
-        col = dict(col)
-        while col:
-            r = min(col)
-            if r in pivots:
-                f = col[r]
-                for rr, vv in pivots[r].items():
-                    nv = (col.get(rr, 0) - f * vv) % p
-                    if nv:
-                        col[rr] = nv
-                    elif rr in col:
-                        del col[rr]
-            else:
-                inv = pow(col[r], -1, p)
-                pivots[r] = {rr: (vv * inv) % p for rr, vv in col.items()}
-                rank += 1
-                break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Boundary matrices and homology
 
@@ -225,7 +198,6 @@ def boundary_matrices(K: SimplicialComplex):
 class HomologyProfile:
     """Reduced homology, one entry per dimension 0..dim(K)."""
 
-    coefficients: str
     betti: dict = field(default_factory=dict)
     torsion: dict = field(default_factory=dict)
 
@@ -240,23 +212,18 @@ def _check_budget(K):
         raise BudgetExceeded(f"{total} faces exceed the budget {budget}")
 
 
-def reduced_homology(K: SimplicialComplex, coefficients="Z", up_to=None) -> HomologyProfile:
-    """Reduced homology with integer (default) or Z_p coefficients.
+def reduced_homology(K: SimplicialComplex, up_to=None) -> HomologyProfile:
+    """Reduced integer homology.
 
     With `up_to`, only dimensions <= up_to are computed (the boundary in
     dimension up_to+1 is still needed and used).
     """
     _check_budget(K)
     if not K.facets:
-        return HomologyProfile(coefficients=str(coefficients))
+        return HomologyProfile()
     top = K.dim if up_to is None else min(up_to, K.dim)
     by_dim, matrices = boundary_matrices(K)
     counts = {dim: len(faces) for dim, faces in by_dim.items()}
-
-    mod_p = coefficients not in ("Z", "integers")
-    p = int(coefficients) if mod_p else None
-    if mod_p and p < 2:
-        raise InvalidParameters("coefficient modulus must be a prime >= 2")
 
     rank = {}
     torsion_from = {}
@@ -265,13 +232,10 @@ def reduced_homology(K: SimplicialComplex, coefficients="Z", up_to=None) -> Homo
         if cols is None:
             rank[dim] = 0
             torsion_from[dim] = []
-        elif mod_p:
-            rank[dim] = _rank_mod_p(cols, p)
-            torsion_from[dim] = []
         else:
             rank[dim], torsion_from[dim] = smith_invariants(cols)
 
-    profile = HomologyProfile(coefficients=str(coefficients))
+    profile = HomologyProfile()
     for i in range(0, top + 1):
         n_i = counts.get(i, 0)
         betti = n_i - rank.get(i, 0) - rank.get(i + 1, 0)
@@ -280,17 +244,17 @@ def reduced_homology(K: SimplicialComplex, coefficients="Z", up_to=None) -> Homo
     return profile
 
 
-def homology_vanishes_through(K: SimplicialComplex, k, coefficients="Z") -> bool:
+def homology_vanishes_through(K: SimplicialComplex, k) -> bool:
     """True iff reduced homology vanishes in every dimension <= k."""
     if k < 0:
         return bool(K.facets)  # (-1)-connected = non-empty
-    profile = reduced_homology(K, coefficients=coefficients, up_to=k)
+    profile = reduced_homology(K, up_to=k)
     if not K.facets:
         return False
     return all(profile.is_trivial(i) for i in range(0, k + 1))
 
 
-def homological_connectivity(K: SimplicialComplex, coefficients="Z") -> int:
+def homological_connectivity(K: SimplicialComplex) -> int:
     """Largest k with reduced homology vanishing in all dimensions <= k.
 
     -2 for the empty complex, -1 when already reduced H_0 is non-trivial.

@@ -149,19 +149,26 @@ SIERKSMA = "sierksma"
 C_TABLE = {(2, 3): 4}  # only c_{2,3} = 4 is known
 
 
-def is_prime_power(q):
-    """Trial-factorization prime-power test (sufficient for q <= 10^6)."""
+def prime_power(q):
+    """(p, r) with q = p^r and p prime, or None; trial division
+    (sufficient for q <= 10^6)."""
     if q < 2:
-        return False
+        return None
     n = q
     f = 2
     while f * f <= n:
         if n % f == 0:
+            r = 0
             while n % f == 0:
                 n //= f
-            return n == 1
+                r += 1
+            return (f, r) if n == 1 else None
         f += 1
-    return True  # q itself prime
+    return q, 1  # q itself prime
+
+
+def is_prime_power(q):
+    return prime_power(q) is not None
 
 
 def counting_report(config: PointConfiguration, records=None):

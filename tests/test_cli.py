@@ -181,6 +181,20 @@ def test_search_single_edge_absent():
     assert json.loads(proc.stdout)["found"] is False
 
 
+@pytest.mark.parametrize(
+    "graph,extra,found",
+    [("star2", (), True), ("edges:0-1", ("--budget", "40"), False)],
+    ids=["witness", "no-witness"],
+)
+def test_search_report_ok(capsys, graph, extra, found):
+    code = cli.main(["search", "--q", "3", "--d", "2", "--graph", graph, "--seed", "1", *extra])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["found"] is found
+    assert report.get("verified", True) is True
+    assert report["ok"] is True
+
+
 def test_render_svg(tmp_path):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text(GOOD)

@@ -1,8 +1,10 @@
 import functools
+import math
 
 import pytest
 
 from tverlab.complexes import (
+    JoinComplex,
     SimplicialComplex,
     assignment_complex,
     c_cones,
@@ -158,11 +160,25 @@ def test_goodness_star_complex():
 
 def test_good_subcomplex_k2_q3_d1():
     L = good_subcomplex(CompleteK(2), 3, 1)
-    assert L.facet_count() == 6 * 27
+    assert math.prod(len(f.facets) for f in L.factors) == 6 * 27
     assert L.dim == 4
     assert goodness_check(L, [(0, 1)])
     M = functools.reduce(join, L.factors)
     assert len(M.facets) == 162
+
+
+def test_goodness_fails_on_join_split_pair():
+    # the pair's rows sit in two free factors, so some facet puts both in
+    # one column
+    L = JoinComplex([assignment_complex([0], 3), assignment_complex([1], 3)])
+    assert not goodness_check(L, [(0, 1)])
+
+
+def test_goodness_fails_on_join_inner_pair():
+    L = JoinComplex([assignment_complex([0, 1], 3), assignment_complex([2], 3)])
+    assert not goodness_check(L, [(0, 1)])
+    M = JoinComplex([chessboard_on([0, 1], 3), assignment_complex([2], 3)])
+    assert goodness_check(M, [(0, 1)])
 
 
 def test_good_subcomplex_union():
