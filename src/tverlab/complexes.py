@@ -218,10 +218,15 @@ def complex_D_tilde(i, S, l, q, rows=None) -> SimplicialComplex:
     """Subcomplex of D^i obtained by deleting all faces with a first-row
     vertex in the column set S."""
     rows = _rows_for(rows, l + 1, "need l+1 rows")
-    if not set(S) <= set(range(1, q + 1)):
-        raise InvalidParameters("S must be a set of columns 1..q")
-    removed = {(rows[0], c) for c in S}
-    return SimplicialComplex(f - removed for f in d_subcomplexes(l, q, rows)[i].facets)
+    if i not in range(1, q + 1) or not set(S) <= set(range(1, q + 1)):
+        raise InvalidParameters("need a column i and a set S of columns in 1..q")
+    return _delete_row_columns(d_subcomplexes(l, q, rows)[i], rows[0], S)
+
+
+def _delete_row_columns(K, row, S):
+    """K without the vertices (row, c) for c in S."""
+    removed = {(row, c) for c in S}
+    return SimplicialComplex(f - removed for f in K.facets)
 
 
 def nerve(family) -> SimplicialComplex:
@@ -458,9 +463,8 @@ def verify_intersection_identities(l, q):
 
     d_l = {k: _face_set(K) for k, K in d_subcomplexes(l, q).items()}
     d_l1 = {k: _face_set(K) for k, K in d_subcomplexes(l - 1, q).items()}
-    d_l2 = {
-        k: _face_set(K) for k, K in d_subcomplexes(l - 2, q).items()
-    } if l >= 2 else {}
+    sub2 = d_subcomplexes(l - 2, q)
+    d_l2 = {k: _face_set(K) for k, K in sub2.items()}
     for t in range(2, q - 1):
         for T in combinations(cols, t):
             lhs = set.intersection(*(d_l[j] for j in T))
@@ -477,11 +481,13 @@ def verify_intersection_identities(l, q):
         lhs = set.intersection(*(e_l[i] for i in cols))
         middle = _ruled_complex(range(1, l - 2), q, _walk)
         _record(report, "E eq6", lhs, _face_set(middle))
+        # Dt^{i,S} is D^i with the first row's (row 0's) columns S deleted.
+        sub3 = d_subcomplexes(l - 3, q)
         for k in cols:
             lhs = set.intersection(*(e_l[i] for i in cols if i != k))
             S = set(cols) - {k}
-            a = complex_D_tilde(k, S, l - 2, q, rows=list(range(l - 1)))
-            b = complex_D_tilde(k, S, l - 3, q, rows=list(range(l - 2)))
+            a = _delete_row_columns(sub2[k], 0, S)
+            b = _delete_row_columns(sub3[k], 0, S)
             _record(report, f"E eq7 k={k}", lhs, _face_set(a) | _face_set(b))
         for t in range(2, q - 1):
             for T in combinations(cols, t):
@@ -489,8 +495,6 @@ def verify_intersection_identities(l, q):
                 rhs = set()
                 for i in cols:
                     if i not in T:
-                        rhs |= _face_set(
-                            complex_D_tilde(i, set(T), l - 2, q, rows=list(range(l - 1)))
-                        )
+                        rhs |= _face_set(_delete_row_columns(sub2[i], 0, T))
                 _record(report, f"E eq8 T={T}", lhs, rhs)
     return report

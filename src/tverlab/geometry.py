@@ -6,21 +6,21 @@ operation here is a pure function of its inputs and bit-reproducible.
 Every linear system (determinants above 3x3, barycentric coordinates,
 affine-hull intersections) goes through one kernel, `_reduce`: it clears
 each row's denominators and runs fraction-free Gauss-Jordan elimination on
-plain integers.  A result that needs division becomes a Fraction only when
-it is returned.  Determinants up to 3x3, the hot path of `orientation`, use
-closed forms.
+plain integers, with the two integer steps of `lp`.  A result that needs
+division becomes a Fraction only when it is returned.  Determinants up to
+3x3, the hot path of `orientation`, use closed forms.
 
 `hull_membership` is the one point-in-simplex predicate.  `common_point`
-goes through the exact LP instead and serves as the independent check.
+goes through the exact LP instead (the same integer steps, other pivot
+choices) and serves as the independent check.
 """
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from dataclasses import dataclass
 
 from .errors import Degenerate, DimensionMismatch, NoUniquePoint
-from .lp import lp_feasible
+from .lp import clear_denominators, fraction_free_pivot, lp_feasible
 
 INSIDE = "Inside"
 BOUNDARY = "Boundary"
@@ -31,12 +31,11 @@ def _reduce(rows, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of exact rows.
 
     Each row is first multiplied by the positive LCM of its entries'
-    denominators.  That keeps the solution set, the rank and the sign of the
-    determinant, and leaves only integers to eliminate.  The first `ncols`
-    columns are then reduced left to right, each pivoting on the first
-    remaining row that is non-zero there; later columns (a right-hand side)
-    are carried along.  Every intermediate entry is a minor of the cleared
-    matrix, so each division is exact.
+    denominators (`clear_denominators`).  That keeps the solution set, the
+    rank and the sign of the determinant, and leaves only integers to
+    eliminate.  The first `ncols` columns are then reduced left to right by
+    `fraction_free_pivot`, each on the first remaining row that is non-zero
+    there; later columns (a right-hand side) are carried along.
 
     Returns (m, pivots, den, scale):
     - `pivots`: the pivot columns, increasing; their number is the rank.
@@ -52,8 +51,8 @@ def _reduce(rows, ncols):
     m = []
     scale = 1
     for row in rows:
-        lcm = math.lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (lcm // v.denominator) for v in row])
+        cleared, lcm = clear_denominators(row)
+        m.append(cleared)
         scale *= lcm
     pivots = []
     den = 1
@@ -67,13 +66,7 @@ def _reduce(rows, ncols):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             scale = -scale
-        top = m[r]
-        p = top[col]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
-                m[i] = [(p * a - f * b) // den for a, b in zip(row, top)]
-        den = p
+        den = fraction_free_pivot(m, r, col, den)
         pivots.append(col)
     return m, pivots, den, scale
 

@@ -1,26 +1,39 @@
-"""Exact phase-1 feasibility.
+"""Exact elimination steps and exact phase-1 feasibility.
 
-Decides whether A x = b, x >= 0 has a solution with a small dense simplex
-over `fractions.Fraction` and Bland's anti-cycling rule, which guarantees
-termination.  Problem sizes in this library are tiny (barycentric variables
-of a handful of blocks), so no sparsity or revised-simplex machinery is
-needed.
+Every exact solve runs on integers with two steps: `clear_denominators`
+scales a row of exact scalars to integers, and `fraction_free_pivot` is the
+integer-preserving pivot of Bareiss (1968) and Edmonds (1967).
+`geometry._reduce` and `lp_feasible` are both built from them.
+
+`lp_feasible` decides A x = b, x >= 0 with a small dense phase-1 simplex and
+Bland's anti-cycling rule, which guarantees termination.  The systems here
+are tiny (barycentric variables of a few blocks), so no sparsity or
+revised-simplex machinery is needed.
 """
 
+import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def clear_denominators(row):
+    """(ints, lcm): the row of exact scalars times the positive LCM of its
+    entries' denominators, and that LCM.  The ints span the same equation."""
+    lcm = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (lcm // v.denominator) for v in row], lcm
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            f = tab[r][col]
-            tab[r] = [a - f * b for a, b in zip(tab[r], tab[row])]
-    basis[row] = col
+def fraction_free_pivot(m, r, col, den):
+    """Pivot the integer rows `m`, which stand for m / den, in place on
+    m[r][col] and return the new common denominator, that pivot.  Row r is
+    kept; every other row becomes (p * row - f * top) // den, which is exact
+    because each entry stays a minor of the cleared matrix."""
+    top = m[r]
+    p = top[col]
+    for i, row in enumerate(m):
+        if i != r:
+            f = row[col]
+            m[i] = [(p * a - f * b) // den for a, b in zip(row, top)]
+    return p
 
 
 def lp_feasible(A, b):
@@ -30,42 +43,53 @@ def lp_feasible(A, b):
     from the basis of artificials.  The system is feasible iff that minimum
     is 0; then every artificial still in the basis sits at 0, so x is read
     straight off the final tableau.
+
+    The tableau is integer rows over one common denominator, the cost row
+    last.  Every pivot is positive, so that denominator stays positive and
+    signs read straight off the numerators.  Clearing a row's denominators
+    rescales its artificial.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     tab = []
     for i in range(m):
-        sign = -1 if b[i] < 0 else 1  # keep the right-hand side >= 0
-        row = [Fraction(sign * v) for v in A[i]]
-        tab.append(row + [ONE if j == i else ZERO for j in range(m)] + [Fraction(sign * b[i])])
+        row, _ = clear_denominators([*A[i], b[i]])
+        if row[-1] < 0:  # keep the right-hand side >= 0
+            row = [-v for v in row]
+        tab.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
     basis = list(range(n, n + m))
     ncols = n + m
     # Reduced costs of the phase-1 objective (sum of artificials) and, last,
     # its negated value.
     cost = [-sum(row[j] for row in tab) for j in range(ncols + 1)]
-    cost[n:ncols] = [ZERO] * m
+    cost[n:ncols] = [0] * m
+    tab.append(cost)
+    den = 1
 
     while True:
-        col = next((j for j in range(ncols) if cost[j] < 0), None)
+        col = next((j for j in range(ncols) if tab[m][j] < 0), None)
         if col is None:
             break
         # The objective is bounded below by 0, so some entry is positive.
+        # Bland's ratio test: least rhs / entry, ties to the least basic
+        # variable, compared by cross-multiplying the positive entries.
         row = None
-        best = None
         for r in range(m):
             a = tab[r][col]
             if a > 0:
-                ratio = tab[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best, row = ratio, r
-        _pivot(tab, basis, row, col)
-        f = cost[col]
-        cost = [a - f * v for a, v in zip(cost, tab[row])]
+                if row is None:
+                    row = r
+                    continue
+                diff = tab[r][-1] * tab[row][col] - tab[row][-1] * a
+                if diff < 0 or (diff == 0 and basis[r] < basis[row]):
+                    row = r
+        den = fraction_free_pivot(tab, row, col, den)
+        basis[row] = col
 
-    if cost[-1] != 0:
+    if tab[m][-1] != 0:
         return None
-    x = [ZERO] * n
+    x = [Fraction(0)] * n
     for r, j in enumerate(basis):
         if j < n:
-            x[j] = tab[r][-1]
+            x[j] = Fraction(tab[r][-1], den)
     return x

@@ -58,25 +58,3 @@ def enumerate_candidate_partitions(n, q, d):
         raise InvalidParameters(f"n={n} incompatible with q={q}, d={d}")
     yield from partitions_with_max_block(range(n), q, d + 1)
 
-
-def equal_size_partitions(labels, k, size):
-    """Partitions of `labels` into k blocks of exactly `size` elements."""
-    labels = sorted(labels)
-    if len(labels) != k * size:
-        raise InvalidParameters("label count is not k * size")
-
-    from itertools import combinations
-
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        for companions in combinations(rest, size - 1):
-            block = (first,) + companions
-            left = [x for x in rest if x not in companions]
-            for tail in rec(left):
-                yield (block,) + tail
-
-    yield from rec(labels)

@@ -27,7 +27,7 @@ from .geometry import (
     orientation,
     points_in_general_position,
 )
-from .partitions import canonical, enumerate_candidate_partitions, equal_size_partitions
+from .partitions import canonical, enumerate_candidate_partitions, partitions_with_max_block
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -225,7 +225,8 @@ def birch_records(instance: BirchInstance):
         raise Degenerate("Birch instance not in general position relative to p")
     labels = range(len(instance.points))
     out = []
-    for partition in equal_size_partitions(labels, k, d + 1):
+    # k blocks of at most d+1 labels cover all k(d+1) labels only at size d+1.
+    for partition in partitions_with_max_block(labels, k, d + 1):
         ok = True
         for blk in partition:
             simplex = [instance.points[i] for i in blk]
@@ -236,5 +237,5 @@ def birch_records(instance: BirchInstance):
                 ok = False
                 break
         if ok:
-            out.append(canonical(partition))
+            out.append(partition)
     return out

@@ -109,6 +109,12 @@ def test_d_tilde_full_deletion():
     assert all(all(v[0] != 0 for v in f) for f in K.facets)
 
 
+@pytest.mark.parametrize("i, S", [(0, set()), (6, set()), (-1, {1}), (1, {0}), (2, {6})])
+def test_d_tilde_columns_out_of_range(i, S):
+    with pytest.raises(InvalidParameters):
+        complex_D_tilde(i, S, 2, 5)
+
+
 def test_nerve_of_c_cones_is_boundary_simplex():
     for q, l in ((3, 1), (4, 2), (5, 3)):
         from itertools import combinations

@@ -177,6 +177,28 @@ def test_common_point_point_in_triangle():
     )
 
 
+@pytest.mark.parametrize(
+    "blocks, expected",
+    [
+        (
+            [[(F(-1, 2), F(1, 3)), (F(3, 2), F(1, 3))], [(F(1, 5), -1), (F(1, 5), F(7, 3))]],
+            (F(1, 5), F(1, 3)),
+        ),
+        ([[(0, 0), (F(5, 2), 0), (0, F(5, 3))], [(F(1, 3), F(1, 7))]], (F(1, 3), F(1, 7))),
+        (
+            [
+                [(0, 0, F(-1, 3)), (0, 0, F(2, 3))],
+                [(F(1, 2), 0, 0), (F(-1, 4), F(1, 2), 0), (F(-1, 4), F(-1, 2), 0)],
+            ],
+            (0, 0, 0),
+        ),
+        ([[(F(1, 3), 0), (F(2, 3), 0)], [(F(3, 4), 0), (1, F(1, 2))]], None),
+    ],
+)
+def test_common_point_rational(blocks, expected):
+    assert common_point(blocks) == expected
+
+
 def test_affine_intersection_segments():
     assert affine_intersection_point([[(-1, 0), (1, 0)], [(0, -1), (0, 1)]]) == (0, 0)
 
@@ -261,6 +283,25 @@ def test_membership_vs_common_point(hull_points, p):
         assert joint is None
     else:
         assert joint == p
+
+
+@given(
+    st.lists(
+        st.lists(st.tuples(rational, rational), min_size=1, max_size=3), min_size=2, max_size=3
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_common_point_rational_in_every_hull(blocks):
+    for blk in blocks:
+        _assume_independent(blk)
+    p = common_point(blocks)
+    if p is not None:
+        assert all(hull_membership(p, blk) != OUTSIDE for blk in blocks)
+    else:
+        for blk in blocks:
+            if len(blk) == 1:
+                others = [o for o in blocks if o is not blk]
+                assert any(hull_membership(blk[0], o) == OUTSIDE for o in others)
 
 
 @given(st.lists(st.tuples(coord, coord), min_size=3, max_size=3), st.tuples(coord, coord))

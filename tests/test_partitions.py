@@ -1,12 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tverlab.errors import InvalidParameters
 from tverlab.partitions import (
     canonical,
     enumerate_candidate_partitions,
-    equal_size_partitions,
     partitions_with_max_block,
 )
 
@@ -61,18 +60,19 @@ def test_blocks_cover_labels_with_size_cap():
         assert all(1 <= len(b) <= 3 for b in p)
 
 
-def test_equal_size_partitions_pairing():
-    parts = list(equal_size_partitions(range(4), 2, 2))
-    assert len(parts) == 3
-
-
-@given(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]))
+# (n, q, cap): the candidate shapes n = (d+1)(q-1)+1, cap = d+1 for
+# (q, d) in (2, 1), (2, 2), (3, 1), (3, 2), (4, 1); and n = q * cap, where
+# the partitions are the equal-size ones (Birch partitions), e.g. the 3
+# pairings of 4 labels.
+@given(st.sampled_from([(3, 2, 2), (4, 2, 3), (5, 3, 2), (7, 3, 3), (7, 4, 2), (4, 2, 2)]))
+@example((4, 2, 2))
 @settings(max_examples=10, deadline=None)
 def test_counts_match_brute_force(params):
-    q, d = params
-    n = (d + 1) * (q - 1) + 1
-    got = len(list(enumerate_candidate_partitions(n, q, d)))
-    assert got == _brute_force_count(n, q, d + 1)
+    n, q, cap = params
+    got = list(partitions_with_max_block(range(n), q, cap))
+    assert len(got) == _brute_force_count(n, q, cap)
+    if n == q * cap:
+        assert all(len(b) == cap for p in got for b in p)
 
 
 def _brute_force_count(n, q, cap):
