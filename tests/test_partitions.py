@@ -60,6 +60,13 @@ def test_blocks_cover_labels_with_size_cap():
         assert all(1 <= len(b) <= 3 for b in p)
 
 
+def test_equal_size_partitions_pairing():
+    # the equal-size (Birch) partitions of 4 labels into 2 blocks of 2
+    parts = list(partitions_with_max_block(range(4), 2, 2))
+    assert len(parts) == 3
+    assert all(len(b) == 2 for p in parts for b in p)
+
+
 # (n, q, cap): the candidate shapes n = (d+1)(q-1)+1, cap = d+1 for
 # (q, d) in (2, 1), (2, 2), (3, 1), (3, 2), (4, 1); and n = q * cap, where
 # the partitions are the equal-size ones (Birch partitions), e.g. the 3
