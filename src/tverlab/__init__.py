@@ -30,7 +30,6 @@ from .constraints import (
     Star,
     avoids,
     constrained_records,
-    deleted_edges_k3q2,
     family_admissible,
     witness_search,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Star",
     "avoids",
     "constrained_records",
-    "deleted_edges_k3q2",
     "family_admissible",
     "witness_search",
 ]

@@ -70,15 +70,6 @@ class SimplicialComplex:
             self._faces = out
         return self._faces
 
-    def faces_by_dim(self):
-        by_dim = {}
-        for f in self.faces():
-            by_dim.setdefault(len(f) - 1, []).append(f)
-        return {k: sorted(v, key=sorted) for k, v in sorted(by_dim.items())}
-
-    def total_faces(self):
-        return len(self.faces())
-
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
 
@@ -347,8 +338,8 @@ def goodness_check(K, constrained_row_pairs) -> bool:
 
 
 def vertex_orbit_sizes(K, action: GroupAction):
-    """Sizes of the vertex orbits under the full generated group; an orbit
-    leaving the complex's vertex set reports its full size regardless."""
+    """Sizes of the vertex orbits under the full generated group, factor by
+    factor; an orbit leaving its factor's vertex set reports -1."""
     elements = action.elements()
     sizes = []
     for factor in K.factors:

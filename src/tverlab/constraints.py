@@ -199,14 +199,6 @@ def constrained_records(config: PointConfiguration, graph: ConstraintGraph, reco
     return [r for r in records if avoids(r.partition, graph)]
 
 
-def deleted_edges_k3q2(q):
-    """The q-1 deleted edges {1, 3q-2-2i} of the K_{3q-2} example, on
-    vertex labels 1..3q-2."""
-    if q < 2:
-        raise InvalidParameters("q >= 2 required")
-    return [(1, 3 * q - 2 - 2 * i) for i in range(q - 1)]
-
-
 def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
     """Draw integer-coordinate points until effective general position holds."""
     n = (d + 1) * (q - 1) + 1

@@ -52,7 +52,12 @@ from .tverberg import (
     tverberg_records_oracle,
 )
 
-DEFAULT_FACTOR_FACET_BUDGET = 25_000
+FACTOR_FACET_BUDGET = 25_000  # goodness campaign: largest factor checked
+STAR_WITNESS_Q, STAR_WITNESS_D = 3, 2  # where K_{1,2} is inadmissible
+BIRCH_PAIRS = ((1, 2), (1, 3), (2, 2))  # (d, k) of the Birch campaign
+BIRCH_COORD_BOUND = 1 << 20  # Birch sample coordinates lie in [-bound, bound]
+STRUCTURAL_MAX_L = 5  # largest l of the C/D/E facet-count checks
+IDENTITY_CASES = ((3, 5), (4, 5), (5, 5))  # (l, q) of the intersection identities
 
 
 def sample_classified_configuration(d, q, rng):
@@ -119,9 +124,10 @@ def single_edge_constraint_campaign(samples, seed, d=2, q=3):
     }
 
 
-def star_witness_campaign(budget, seed, q=3, d=2):
+def star_witness_campaign(budget, seed):
     """Best-effort search for a configuration with no partition avoiding
     the star K_{1,2}; any hit is exactly re-verified."""
+    q, d = STAR_WITNESS_Q, STAR_WITNESS_D
     n = (d + 1) * (q - 1) + 1
     graph = instantiate(Star(2), n)
     witness = witness_search(q, d, graph, seed, budget)
@@ -134,13 +140,13 @@ def star_witness_campaign(budget, seed, q=3, d=2):
     return report
 
 
-def birch_campaign(samples, seed, pairs=((1, 2), (1, 3), (2, 2))):
+def birch_campaign(samples, seed):
     """B_0(X) is even and at least k! whenever positive, on seeded
     instances at each (d, k)."""
     rng = SplitMix64(seed)
     results = []
     ok = True
-    for d, k in pairs:
+    for d, k in BIRCH_PAIRS:
         for index in range(samples):
             instance = _sample_birch(d, k, rng)
             count = len(birch_records(instance))
@@ -157,11 +163,11 @@ def birch_campaign(samples, seed, pairs=((1, 2), (1, 3), (2, 2))):
     return {"ok": ok, "samples": samples, "seed": seed, "results": results}
 
 
-def _sample_birch(d, k, rng, coord_bound=1 << 20):
+def _sample_birch(d, k, rng):
     origin = tuple([0] * d)
     while True:
         pts = tuple(
-            tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
+            tuple(rng.randint(-BIRCH_COORD_BOUND, BIRCH_COORD_BOUND) for _ in range(d))
             for _ in range(k * (d + 1))
         )
         instance = BirchInstance(d, k, pts, origin)
@@ -203,7 +209,7 @@ def lemma_connectivity_campaign():
     return {"ok": ok, "results": results}
 
 
-def structural_identities_campaign(max_q=6, max_l=5, identity_cases=((3, 5), (4, 5), (5, 5))):
+def structural_identities_campaign(max_q=6):
     """Facet-count formulas, the E_3 = 3-row chessboard coincidence, the
     nerve of the C cones, and the D/E intersection identities."""
     checks = []
@@ -216,7 +222,7 @@ def structural_identities_campaign(max_q=6, max_l=5, identity_cases=((3, 5), (4,
             add(f"chessboard({m},{q})", len(chessboard(m, q).facets) == CompleteK(m).facet_count(q))
         for n in range(0, 4):
             add(f"deleted_join({n},{q})", len(deleted_join_of_simplex(n, q).facets) == q ** (n + 1))
-        for l in range(1, max_l + 1):
+        for l in range(1, STRUCTURAL_MAX_L + 1):
             add(f"C({l},{q})", len(complex_C(l, q).facets) == Star(l).facet_count(q))
             add(f"D({l},{q})", len(complex_D(l, q).facets) == Path(l).facet_count(q))
             if l >= 3:
@@ -236,7 +242,7 @@ def structural_identities_campaign(max_q=6, max_l=5, identity_cases=((3, 5), (4,
                     f"nerve C({l},{q}) cones",
                     nerve(c_cones(l, q)) == boundary,
                 )
-    for l, q in identity_cases:
+    for l, q in IDENTITY_CASES:
         report = verify_intersection_identities(l, q)
         add(f"intersection identities l={l}, q={q}", report["ok"], detail=report)
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
@@ -257,7 +263,7 @@ def _admissible_specs(q, d):
     return [spec for spec in candidates if family_admissible(spec, q, d)]
 
 
-def goodness_invariance_campaign(factor_budget=DEFAULT_FACTOR_FACET_BUDGET):
+def goodness_invariance_campaign():
     """Every admissible family's good subcomplex is good, invariant under
     the regular prime-power column action, and has only size-q vertex
     orbits (checked factor-wise; family sizes capped by a facet budget)."""
@@ -268,7 +274,7 @@ def goodness_invariance_campaign(factor_budget=DEFAULT_FACTOR_FACET_BUDGET):
         for d in (1, 2):
             n = (d + 1) * (q - 1) + 1
             for spec in _admissible_specs(q, d):
-                if any(p.facet_count(q) > factor_budget for p in spec.parts):
+                if any(p.facet_count(q) > FACTOR_FACET_BUDGET for p in spec.parts):
                     continue
                 L = good_subcomplex(spec, q, d)
                 good = goodness_check(L, instantiate(spec, n).edges)

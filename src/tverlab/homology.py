@@ -5,13 +5,16 @@ eliminated first with a sparse Markowitz-style sweep (no coefficient
 growth), and whatever small residual remains goes through a classic dense
 Smith reduction.  Coefficients are the integers.
 
-Computations refuse complexes with more than `face_budget` total faces
+Only the skeleton a computation reads is built: homology through
+dimension k builds the faces of dimensions 0..k+1, one dimension at a time
+from the facets.  A computation that builds more than `face_budget()` faces
 (default 200000, overridable via the TVERBERG_FACE_BUDGET environment
-variable) to keep desk-scale runs bounded.
+variable) is refused, to keep desk-scale runs bounded.
 """
 
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import BudgetExceeded, InvalidParameters
 from .complexes import SimplicialComplex
@@ -165,38 +168,41 @@ def smith_invariants(cols):
 # ---------------------------------------------------------------------------
 # Boundary matrices and homology
 
-def boundary_matrices(K: SimplicialComplex):
-    """Sparse boundary matrices of the reduced chain complex.
+def boundary_matrices(K: SimplicialComplex, top):
+    """Sparse boundary matrices of the reduced chain complex in dimensions
+    0..min(top, dim K).
 
-    Returns (faces_by_dim, matrices) where matrices[i] maps dimension-i
-    faces (columns) to their dimension-(i-1) boundary; matrices[0] is the
+    Each dimension's faces are built from the facets as sorted vertex
+    tuples, listed in sorted order, and indexed only against the dimension
+    below.  The faces built so far are checked against the face budget
+    before each dimension's matrix is built.  Returns (by_dim, matrices)
+    where by_dim[i] lists the dimension-i faces and matrices[i] maps them
+    (columns) to their dimension-(i-1) boundary; matrices[0] is the
     augmentation into the empty face.
     """
-    by_dim = K.faces_by_dim()
-    index = {}
-    for dim, faces in by_dim.items():
-        for pos, f in enumerate(faces):
-            index[f] = pos
-    matrices = {}
-    for dim, faces in by_dim.items():
-        cols = {}
-        for pos, f in enumerate(faces):
-            verts = sorted(f)
-            col = {}
-            if dim == 0:
-                col[0] = 1  # augmentation
-            else:
-                for omit in range(len(verts)):
-                    sub = frozenset(verts[:omit] + verts[omit + 1 :])
-                    col[index[sub]] = (-1) ** omit
-            cols[pos] = col
-        matrices[dim] = cols
+    budget = face_budget()
+    facets = [tuple(sorted(f)) for f in K.facets]
+    by_dim, matrices = {}, {}
+    index = {(): 0}  # the empty face, target of the augmentation
+    built = 0
+    for dim in range(min(top, K.dim) + 1):
+        faces = {s for f in facets for s in combinations(f, dim + 1)}
+        built += len(faces)
+        if built > budget:
+            raise BudgetExceeded(f"{built} faces exceed the budget {budget}")
+        faces = sorted(faces)
+        matrices[dim] = {
+            pos: {index[f[:j] + f[j + 1 :]]: (-1) ** j for j in range(dim + 1)}
+            for pos, f in enumerate(faces)
+        }
+        by_dim[dim] = faces
+        index = {f: pos for pos, f in enumerate(faces)}
     return by_dim, matrices
 
 
 @dataclass
 class HomologyProfile:
-    """Reduced homology, one entry per dimension 0..dim(K)."""
+    """Reduced homology, one entry per dimension 0..min(up_to, dim K)."""
 
     betti: dict = field(default_factory=dict)
     torsion: dict = field(default_factory=dict)
@@ -205,66 +211,33 @@ class HomologyProfile:
         return self.betti.get(i, 0) == 0 and not self.torsion.get(i, [])
 
 
-def _check_budget(K):
-    budget = face_budget()
-    total = K.total_faces()
-    if total > budget:
-        raise BudgetExceeded(f"{total} faces exceed the budget {budget}")
-
-
 def reduced_homology(K: SimplicialComplex, up_to=None) -> HomologyProfile:
-    """Reduced integer homology.
+    """Reduced integer homology in dimensions 0..min(up_to, dim K), or in
+    every dimension without `up_to`.
 
-    With `up_to`, only dimensions <= up_to are computed (the boundary in
-    dimension up_to+1 is still needed and used).
+    Only the faces of dimensions 0..up_to+1 are built: the boundary in
+    dimension up_to+1 is needed for the homology in dimension up_to.
     """
-    _check_budget(K)
     if not K.facets:
         return HomologyProfile()
     top = K.dim if up_to is None else min(up_to, K.dim)
-    by_dim, matrices = boundary_matrices(K)
-    counts = {dim: len(faces) for dim, faces in by_dim.items()}
-
+    by_dim, matrices = boundary_matrices(K, top + 1)
     rank = {}
     torsion_from = {}
-    for dim in range(0, top + 2):
-        cols = matrices.get(dim)
-        if cols is None:
-            rank[dim] = 0
-            torsion_from[dim] = []
-        else:
-            rank[dim], torsion_from[dim] = smith_invariants(cols)
+    for dim, cols in matrices.items():
+        rank[dim], torsion_from[dim] = smith_invariants(cols)
 
     profile = HomologyProfile()
     for i in range(0, top + 1):
-        n_i = counts.get(i, 0)
-        betti = n_i - rank.get(i, 0) - rank.get(i + 1, 0)
-        profile.betti[i] = betti
+        profile.betti[i] = len(by_dim[i]) - rank[i] - rank.get(i + 1, 0)
         profile.torsion[i] = torsion_from.get(i + 1, [])
     return profile
 
 
 def homology_vanishes_through(K: SimplicialComplex, k) -> bool:
-    """True iff reduced homology vanishes in every dimension <= k."""
-    if k < 0:
-        return bool(K.facets)  # (-1)-connected = non-empty
+    """True iff reduced homology vanishes in every dimension <= k; for
+    k < 0 (and for the empty complex) iff K is non-empty."""
+    if k < 0 or not K.facets:
+        return bool(K.facets)
     profile = reduced_homology(K, up_to=k)
-    if not K.facets:
-        return False
     return all(profile.is_trivial(i) for i in range(0, k + 1))
-
-
-def homological_connectivity(K: SimplicialComplex) -> int:
-    """Largest k with reduced homology vanishing in all dimensions <= k.
-
-    -2 for the empty complex, -1 when already reduced H_0 is non-trivial.
-    If every reduced group through the top dimension vanishes, the complex
-    dimension is returned (the homological evidence cannot say more).
-    """
-    if not K.facets:
-        return -2
-    profile = reduced_homology(K)
-    for i in range(0, K.dim + 1):
-        if not profile.is_trivial(i):
-            return i - 1
-    return K.dim

@@ -11,6 +11,7 @@ from fractions import Fraction
 from .errors import UnsupportedDimension
 from .geometry import PointConfiguration, orientation
 
+SIZE = 480  # width and height of the drawing, in px
 PALETTE = ["#4878cf", "#d65f5f", "#6acc65", "#b47cc7", "#c4ad66", "#77bedb"]
 
 
@@ -39,7 +40,7 @@ def _hull_order(points):
     return hull
 
 
-def render_svg(config: PointConfiguration, records=(), graph=None, size=480) -> str:
+def render_svg(config: PointConfiguration, records=(), graph=None) -> str:
     if config.d != 2:
         raise UnsupportedDimension("rendering supports d=2 only")
     xs = [Fraction(p[0]) for p in config.points]
@@ -48,18 +49,18 @@ def render_svg(config: PointConfiguration, records=(), graph=None, size=480) -> 
     span_x = max(xs) - min(xs) or Fraction(1)
     span_y = max(ys) - min(ys) or Fraction(1)
     scale = min(
-        Fraction(size - 2 * margin) / span_x, Fraction(size - 2 * margin) / span_y
+        Fraction(SIZE - 2 * margin) / span_x, Fraction(SIZE - 2 * margin) / span_y
     )
 
     def sx(p):
         return float(margin + (Fraction(p[0]) - min(xs)) * scale)
 
     def sy(p):
-        return float(size - margin - (Fraction(p[1]) - min(ys)) * scale)
+        return float(SIZE - margin - (Fraction(p[1]) - min(ys)) * scale)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">'
     ]
     for idx, record in enumerate(records):
         color = PALETTE[idx % len(PALETTE)]

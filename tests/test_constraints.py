@@ -11,7 +11,6 @@ from tverlab.constraints import (
     Star,
     avoids,
     constrained_records,
-    deleted_edges_k3q2,
     family_admissible,
     instantiate,
     sample_configuration,
@@ -79,12 +78,6 @@ def test_family_admissible_rejects_non_prime_power():
 def test_family_admissible_union():
     union = DisjointUnion((CompleteK(2), CompleteK(2)))
     assert family_admissible(union, 3, 2)
-
-
-def test_deleted_edges():
-    assert sorted(deleted_edges_k3q2(4)) == [(1, 6), (1, 8), (1, 10)]
-    assert sorted(deleted_edges_k3q2(3)) == [(1, 5), (1, 7)]
-    assert deleted_edges_k3q2(2) == [(1, 4)]
 
 
 def test_instantiate_star():

@@ -13,7 +13,7 @@ from tverlab.complexes import (
 )
 from tverlab.errors import BudgetExceeded
 from tverlab.homology import (
-    homological_connectivity,
+    boundary_matrices,
     homology_vanishes_through,
     reduced_homology,
     smith_invariants,
@@ -49,16 +49,22 @@ def test_sphere_homology():
 
 
 def test_sphere_connectivity():
-    assert homological_connectivity(sphere(2)) == 1
+    assert homology_vanishes_through(sphere(2), 1)
+    assert not homology_vanishes_through(sphere(2), 2)
 
 
 def test_empty_complex_convention():
-    assert homological_connectivity(SimplicialComplex([])) == -2
+    # the empty complex is not even (-1)-connected (non-empty)
+    K = SimplicialComplex([])
+    assert not homology_vanishes_through(K, -1)
+    assert not homology_vanishes_through(K, 0)
+    assert reduced_homology(K).betti == {}
 
 
 def test_two_points_disconnected():
     K = SimplicialComplex([{0}, {1}])
-    assert homological_connectivity(K) == -1
+    assert homology_vanishes_through(K, -1)
+    assert not homology_vanishes_through(K, 0)
     assert reduced_homology(K).betti[0] == 1
 
 
@@ -74,13 +80,13 @@ def test_chessboard_2_2_two_edges():
 
 def test_chessboard_5_3_connectivity():
     # nu = min(5, 3, 3) = 3
-    assert homological_connectivity(chessboard(5, 3)) >= 1
+    assert homology_vanishes_through(chessboard(5, 3), 1)
 
 
 def test_cone_is_contractible():
     K = chessboard(2, 3)
     cone = join(SimplicialComplex([{(9, 9)}]), K)
-    assert homological_connectivity(cone) >= K.dim
+    assert homology_vanishes_through(cone, cone.dim)
 
 
 def test_join_of_two_pairs_is_4_cycle():
@@ -96,14 +102,17 @@ def test_deleted_join_connectivity(n, p):
 
 
 def test_join_connectivity_inequality():
-    samples = [sphere(0), sphere(1), chessboard(2, 2), chessboard(2, 3)]
-    for i, K1 in enumerate(samples):
-        for K2 in samples[i:]:
+    # (complex, its homological connectivity): S^0 and two disjoint edges
+    # are disconnected, S^1 and the 6-cycle are connected with H_1 != 0
+    samples = [(sphere(0), -1), (sphere(1), 0), (chessboard(2, 2), -1), (chessboard(2, 3), 0)]
+    for K, conn in samples:
+        assert homology_vanishes_through(K, conn)
+        assert not homology_vanishes_through(K, conn + 1)
+    for i, (K1, c1) in enumerate(samples):
+        for K2, c2 in samples[i:]:
             A = _relabel(K1, 0)
             B = _relabel(K2, 1000)
-            lhs = homological_connectivity(join(A, B))
-            rhs = homological_connectivity(A) + homological_connectivity(B) + 2
-            assert lhs >= rhs
+            assert homology_vanishes_through(join(A, B), c1 + c2 + 2)
 
 
 def _relabel(K, offset):
@@ -137,6 +146,26 @@ def test_face_budget_enforced(monkeypatch):
     monkeypatch.setenv("TVERBERG_FACE_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
         reduced_homology(chessboard(4, 4))
+
+
+def test_face_budget_counts_the_skeleton_read(monkeypatch):
+    # chessboard(5,5) has 1,545 faces, 825 of them in dimensions 0..2;
+    # nu = 3, so its connectivity claim (through dimension 1) reads only those
+    monkeypatch.setenv("TVERBERG_FACE_BUDGET", "1000")
+    K = chessboard(5, 5)
+    assert homology_vanishes_through(K, 1)
+    with pytest.raises(BudgetExceeded):
+        reduced_homology(K)
+
+
+def test_boundary_matrices_build_only_the_skeleton():
+    triangle = SimplicialComplex([{0, 1, 2}])
+    by_dim, matrices = boundary_matrices(triangle, 1)
+    assert by_dim == {0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2), (1, 2)]}
+    assert matrices[0] == {0: {0: 1}, 1: {0: 1}, 2: {0: 1}}
+    # d(a, b) = b - a, rows indexed by the vertices' positions
+    assert matrices[1] == {0: {1: 1, 0: -1}, 1: {2: 1, 0: -1}, 2: {2: 1, 1: -1}}
+    assert boundary_matrices(triangle, 5)[0].keys() == {0, 1, 2}
 
 
 def test_face_budget_env_override(monkeypatch):
