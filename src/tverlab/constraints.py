@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .complexes import chessboard_on, complex_C, complex_D, complex_E
 from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
-from .geometry import PointConfiguration, common_point, points_in_general_position
+from .geometry import PointConfiguration, common_point, effective_general_position
 from .partitions import enumerate_candidate_partitions
 from .rng import SplitMix64
 from .tverberg import is_prime_power, is_tverberg
@@ -200,14 +200,18 @@ def constrained_records(config: PointConfiguration, graph: ConstraintGraph, reco
 
 
 def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
-    """Draw integer-coordinate points until effective general position holds."""
+    """Draw integer-coordinate points until effective general position holds.
+
+    The check fills the configuration's determinant table, which its
+    classification then reads without recomputing it."""
     n = (d + 1) * (q - 1) + 1
     while True:
         pts = tuple(
             tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d)) for _ in range(n)
         )
-        if points_in_general_position(pts, d):
-            return PointConfiguration(d, q, pts)
+        config = PointConfiguration(d, q, pts)
+        if effective_general_position(config):
+            return config
 
 
 def witness_search(q, d, graph: ConstraintGraph, seed, budget):

@@ -10,12 +10,20 @@ plain integers, with the two integer steps of `lp`.  A result that needs
 division becomes a Fraction only when it is returned.  Determinants up to
 3x3, the hot path of `orientation`, use closed forms.
 
-`hull_membership` is the one point-in-simplex predicate.  `common_point`
-goes through the exact LP instead (the same integer steps, other pivot
-choices) and serves as the independent check.
+`hull_membership` is the one point-in-simplex predicate for explicit
+points.  `common_point` goes through the exact LP instead (the same integer
+steps, other pivot choices) and serves as the independent check.
+
+A `PointConfiguration` computes one table, once, and caches it: the integer
+determinant of the homogeneous coordinates (1, L*p) of every sorted
+(d+1)-subset of labels, L clearing every denominator of the configuration.
+Its signs are the orientations (the chirotope); effective general position
+means no entry is zero, and the Tverberg classifier reads every sign it
+needs from the table.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from dataclasses import dataclass
 
@@ -133,10 +141,36 @@ class PointConfiguration:
     def n(self):
         return len(self.points)
 
+    @cached_property
+    def cleared(self):
+        """(L, points): L is the positive LCM of every coordinate's
+        denominator and the points are the configuration times L, as ints."""
+        d = self.d
+        flat, lcm = clear_denominators([c for p in self.points for c in p])
+        return lcm, tuple(tuple(flat[i : i + d]) for i in range(0, len(flat), d))
+
+    @cached_property
+    def determinants(self):
+        """Every sorted (d+1)-tuple of labels -> the int determinant of its
+        homogeneous coordinates (1, L*p); its sign is the orientation.
+
+        D(x_0, ..., x_d) is linear in each point's homogeneous row, so a
+        point given as a positive combination of labels is tested against a
+        simplex with sums of these entries (see `tverberg`).
+        """
+        d = self.d
+        pts = self.cleared[1]
+        table = {}
+        for labels in combinations(range(self.n), d + 1):
+            p0, *rest = (pts[i] for i in labels)
+            table[labels] = det([[p[j] - p0[j] for j in range(d)] for p in rest])
+        return table
+
 
 def effective_general_position(config: PointConfiguration) -> bool:
-    """True iff every (d+1)-subset of the points is affinely independent."""
-    return points_in_general_position(config.points, config.d)
+    """True iff every (d+1)-subset of the points is affinely independent,
+    read off the configuration's determinant table."""
+    return all(config.determinants.values())
 
 
 def points_in_general_position(points, d) -> bool:

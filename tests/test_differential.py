@@ -1,0 +1,91 @@
+"""The determinant-table classifier against the exact LP oracle.
+
+`tverberg_records` decides every candidate from the configuration's table
+of (d+1)-subset determinants (Radon signs, one integer elimination for
+k >= 3 low blocks); `tverberg_records_oracle` solves one exact LP per
+candidate and shares nothing with it but the candidate enumeration.  Their
+partition lists must be equal, on integer samples and on rational ones,
+whose denominators the table clears first, and every record's point must
+lie strictly inside each of its blocks.
+
+On the two boundary constructions of `test_ground_truth`, every verdict
+`is_tverberg` does give must match the LP, and each refusal (`Degenerate`)
+must be a candidate whose hulls the LP finds touching.
+
+More seeds, and (d, q) = (2, 4), carry the `slow` marker.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from test_ground_truth import _crossing_segments_on_triangle_edge, _three_planes_on_an_edge
+from tverlab.constraints import sample_configuration
+from tverlab.errors import Degenerate
+from tverlab.geometry import INSIDE, PointConfiguration, common_point, hull_membership
+from tverlab.partitions import enumerate_candidate_partitions
+from tverlab.rng import SplitMix64
+from tverlab.tverberg import is_tverberg, tverberg_records, tverberg_records_oracle
+
+TIER1_PAIRS = [(1, 3), (1, 4), (2, 3), (3, 3)]
+
+
+def _classified(d, q, seed, rational):
+    """The first seeded sample that classifies without `Degenerate`; a
+    rational one divides every coordinate by its own denominator 1..9."""
+    rng = SplitMix64(seed)
+    while True:
+        config = sample_configuration(d, q, rng, coord_bound=1000)
+        if rational:
+            points = tuple(
+                tuple(Fraction(c, rng.randint(1, 9)) for c in p) for p in config.points
+            )
+            config = PointConfiguration(d, q, points)
+        try:
+            return config, tverberg_records(config)
+        except Degenerate:
+            continue
+
+
+def _cases(pairs, seeds, marks=()):
+    return [
+        pytest.param(
+            d, q, seed, rational, marks=marks, id=f"{d}-{q}-{'rational-' if rational else ''}{seed}"
+        )
+        for d, q in pairs
+        for seed in seeds
+        for rational in (False, True)
+    ]
+
+
+@pytest.mark.parametrize(
+    "d,q,seed,rational",
+    _cases(TIER1_PAIRS, (21, 22))
+    + _cases(TIER1_PAIRS + [(2, 4)], range(23, 29), marks=pytest.mark.slow),
+)
+def test_records_match_lp_oracle(d, q, seed, rational):
+    config, records = _classified(d, q, seed, rational)
+    assert [r.partition for r in records] == tverberg_records_oracle(config)
+    for record in records:  # the point, in the configuration's own coordinates
+        for block in record.partition:
+            simplex = [config.points[i] for i in block]
+            assert hull_membership(record.point, simplex, d) == INSIDE
+
+
+@pytest.mark.parametrize(
+    "build", [_crossing_segments_on_triangle_edge, _three_planes_on_an_edge], ids=["d2q3", "d3q3"]
+)
+def test_boundary_verdicts_match_lp_oracle(build):
+    config, _ = build()
+    refused = 0
+    for partition in enumerate_candidate_partitions(config.n, config.q, config.d):
+        blocks = [[config.points[i] for i in blk] for blk in partition]
+        meet = common_point(blocks, config.d) is not None
+        try:
+            record = is_tverberg(partition, config)
+        except Degenerate as exc:
+            assert "boundary" in str(exc) and meet, partition
+            refused += 1
+            continue
+        assert (record is not None) == meet, partition
+    assert refused >= 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,22 @@ def test_general_position_holds():
     assert points_in_general_position(pts, 2)
     config = PointConfiguration(2, 3, tuple(pts))
     assert effective_general_position(config)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(2, 3))
+@settings(max_examples=60, deadline=None)
+def test_determinant_table_signs_are_orientations(data, d, q):
+    # Small rational coordinates, so that dependent subsets occur too.
+    scalar = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+    n = (d + 1) * (q - 1) + 1
+    points = tuple(tuple(data.draw(scalar) for _ in range(d)) for _ in range(n))
+    config = PointConfiguration(d, q, points)
+    table = config.determinants
+    assert len(table) == math.comb(n, d + 1)
+    for labels, value in table.items():
+        assert type(value) is int
+        assert (value > 0) - (value < 0) == orientation([points[i] for i in labels], d)
+    assert effective_general_position(config) == points_in_general_position(points, d)
 
 
 TRIANGLE = [(-1, 0), (1, 0), (0, 1)]

@@ -37,12 +37,22 @@ def test_radon_wrong_partition_absent():
 
 def test_type_one_planar_example():
     config = PointConfiguration(
-        2, 3, ((0, 0), (4, 0), (2, 4), (2, 1), (1, 3), (3, 3), (2, 2))
+        2, 3, ((0, 0), (4, 0), (2, 4), (0, 1), (1, 4), (4, 2), (2, 2))
     )
     record = is_tverberg(((0, 1, 2), (3, 4, 5), (6,)), config)
     assert record is not None
     assert record.ptype == "I"
     assert record.point == (2, 2)
+
+
+def test_is_tverberg_refuses_configuration_not_in_general_position():
+    # (0,0), (3,3) and (2,2) are collinear; the partition itself is fine.
+    config = PointConfiguration(
+        2, 3, ((0, 0), (4, 0), (2, 4), (2, 1), (1, 3), (3, 3), (2, 2))
+    )
+    with pytest.raises(Degenerate) as exc:
+        is_tverberg(((0, 1, 2), (3, 4, 5), (6,)), config)
+    assert str(exc.value) == "configuration not in effective general position"
 
 
 def test_radon_records_count():
@@ -75,8 +85,9 @@ def test_every_candidate_fits_a_type(d, q):
         (((0,), (1,), (2,)), RADON),  # three blocks for q = 2
         (((0,), (1,)), RADON),  # labels missing
         (((0, 1, 2), (3,), (4,)), PointConfiguration(1, 3, ((0,), (1,), (2,), (3,), (4,)))),
+        (((0, 0), (1,)), RADON),  # a label twice, another missing
     ],
-    ids=["block-count", "size-sum", "oversized-block"],
+    ids=["block-count", "size-sum", "oversized-block", "repeated-label"],
 )
 def test_is_tverberg_rejects_non_candidates(partition, config):
     with pytest.raises(InvalidParameters) as exc:
