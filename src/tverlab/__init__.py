@@ -14,7 +14,6 @@ from .geometry import (
 )
 from .partitions import enumerate_candidate_partitions
 from .tverberg import (
-    BirchInstance,
     TverbergRecord,
     birch_records,
     counting_report,
@@ -45,7 +44,6 @@ __all__ = [
     "BOUNDARY",
     "OUTSIDE",
     "enumerate_candidate_partitions",
-    "BirchInstance",
     "TverbergRecord",
     "birch_records",
     "counting_report",

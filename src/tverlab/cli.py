@@ -198,8 +198,11 @@ def cmd_render(args):
     records = tverberg_records(config)[: args.records]
     graph = _graph_for(args.graph, len(config.points)) if args.graph else None
     svg = render_svg(config, records=records, graph=graph)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise InvalidParameters(f"cannot write {args.out}: {exc.strerror}") from exc
     report = {
         "input": args.input,
         "out": args.out,

@@ -244,7 +244,6 @@ class GroupAction:
 
     q: int
     generators: tuple
-    name: str = ""
 
     def elements(self):
         """All group elements generated (BFS closure of composition)."""
@@ -280,7 +279,7 @@ def regular_prime_power_action(q) -> GroupAction:
             image = v - digit * step + ((digit + 1) % p) * step
             gen.append(image + 1)
         gens.append(tuple(gen))
-    return GroupAction(q, tuple(gens), f"(Z_{p})^{r}")
+    return GroupAction(q, tuple(gens))
 
 
 def _apply(g, facet):

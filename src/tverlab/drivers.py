@@ -40,12 +40,10 @@ from .complexes import (
     vertex_orbit_sizes,
 )
 from .errors import Degenerate
-from .geometry import PointConfiguration
+from .geometry import PointConfiguration, effective_general_position
 from .homology import homology_vanishes_through
 from .rng import SplitMix64
 from .tverberg import (
-    BirchInstance,
-    birch_general_position,
     birch_records,
     counting_report,
     tverberg_records,
@@ -148,8 +146,7 @@ def birch_campaign(samples, seed):
     ok = True
     for d, k in BIRCH_PAIRS:
         for index in range(samples):
-            instance = _sample_birch(d, k, rng)
-            count = len(birch_records(instance))
+            count = len(birch_records(_sample_birch(d, k, rng)))
             entry = {
                 "d": d,
                 "k": k,
@@ -164,15 +161,17 @@ def birch_campaign(samples, seed):
 
 
 def _sample_birch(d, k, rng):
+    """k(d+1) seeded points plus the origin, last, as p; drawn again until
+    the configuration is in effective general position."""
     origin = tuple([0] * d)
     while True:
         pts = tuple(
             tuple(rng.randint(-BIRCH_COORD_BOUND, BIRCH_COORD_BOUND) for _ in range(d))
             for _ in range(k * (d + 1))
         )
-        instance = BirchInstance(d, k, pts, origin)
-        if birch_general_position(instance):
-            return instance
+        config = PointConfiguration(d, k + 1, pts + (origin,))
+        if effective_general_position(config):
+            return config
 
 
 def chessboard_connectivity_campaign(max_mn=6):

@@ -8,11 +8,18 @@ affine-hull intersections) goes through one kernel, `_reduce`: it clears
 each row's denominators and runs fraction-free Gauss-Jordan elimination on
 plain integers, with the two integer steps of `lp`.  A result that needs
 division becomes a Fraction only when it is returned.  Determinants up to
-3x3, the hot path of `orientation`, use closed forms.
+3x3, the hot path of the determinant table, use closed forms.
 
 `hull_membership` is the one point-in-simplex predicate for explicit
 points.  `common_point` goes through the exact LP instead (the same integer
 steps, other pivot choices) and serves as the independent check.
+
+The Tverberg and Birch classifier reads the determinant table below, not
+these explicit-point predicates: `orientation` serves `render`, and
+`common_point` the LP oracle and the witness re-check.  `hull_membership`,
+`barycentric_coordinates`, `affine_intersection_point` and
+`points_in_general_position` are the tests' references, and the traced
+benchmark (`perfbench/spans.py`) patches them by name.
 
 A `PointConfiguration` computes one table, once, and caches it: the integer
 determinant of the homogeneous coordinates (1, L*p) of every sorted

@@ -17,7 +17,10 @@ from fractions import Fraction
 
 def clear_denominators(row):
     """(ints, lcm): the row of exact scalars times the positive LCM of its
-    entries' denominators, and that LCM.  The ints span the same equation."""
+    entries' denominators, and that LCM.  The ints span the same equation.
+    A row of ints comes back as a copy, not rebuilt."""
+    if all(type(v) is int for v in row):
+        return list(row), 1
     lcm = math.lcm(*(v.denominator for v in row))
     return [v.numerator * (lcm // v.denominator) for v in row], lcm
 

@@ -25,23 +25,19 @@ the configuration's determinant table D (see `geometry`) and integers:
     parameters, whose numerators are every low block's barycentric
     coordinates, and the same table sums for the full blocks.
 A `Fraction` is built only for an accepted type II record's point.
+
+A Birch partition of k(d+1) points around p (Birch 1959) is the same thing
+as a type I partition of the points plus p whose singleton is p, so
+`birch_records` takes a configuration with q = k+1 and p as its last point
+and asks the same classifier.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Degenerate, DimensionMismatch, InvalidParameters
-from .geometry import (
-    BOUNDARY,
-    OUTSIDE,
-    PointConfiguration,
-    _reduce,
-    common_point,
-    effective_general_position,
-    hull_membership,
-    points_in_general_position,
-)
+from .errors import Degenerate, InvalidParameters
+from .geometry import PointConfiguration, _reduce, common_point, effective_general_position
 from .partitions import canonical, enumerate_candidate_partitions, partitions_with_max_block
 
 TYPE_I = "I"
@@ -57,20 +53,6 @@ class TverbergRecord:
 
     def describe(self):
         return TYPE_I if self.ptype == TYPE_I else f"II({self.k})"
-
-
-@dataclass(frozen=True)
-class BirchInstance:
-    d: int
-    k: int
-    points: tuple
-    p: tuple
-
-    def __post_init__(self):
-        if len(self.points) != self.k * (self.d + 1):
-            raise DimensionMismatch(
-                f"Birch instance needs k(d+1) = {self.k * (self.d + 1)} points"
-            )
 
 
 def _swapped(table, simplex, i, a):
@@ -319,33 +301,17 @@ def counting_report(config: PointConfiguration, records=None):
     return report
 
 
-def birch_general_position(instance: BirchInstance) -> bool:
-    """No point equals p, and every (d+1)-subset of points-plus-p is
-    affinely independent (rules out all Boundary verdicts)."""
-    if any(tuple(pt) == tuple(instance.p) for pt in instance.points):
-        return False
-    return points_in_general_position(list(instance.points) + [instance.p], instance.d)
-
-
-def birch_records(instance: BirchInstance):
-    """All Birch partitions for p: k blocks of size d+1, each with p
-    strictly inside its hull.  The count is B_p(X)."""
-    d, k = instance.d, instance.k
-    if not birch_general_position(instance):
+def birch_records(config: PointConfiguration):
+    """All Birch partitions of the first n-1 points around p, the last one:
+    q-1 blocks of size d+1, each with p strictly inside its hull.  The count
+    is B_p(X).  Effective general position rules out p equal to a point and
+    p on a block's boundary, where p and d of its labels are dependent."""
+    if not effective_general_position(config):
         raise Degenerate("Birch instance not in general position relative to p")
-    labels = range(len(instance.points))
-    out = []
-    # k blocks of at most d+1 labels cover all k(d+1) labels only at size d+1.
-    for partition in partitions_with_max_block(labels, k, d + 1):
-        ok = True
-        for blk in partition:
-            simplex = [instance.points[i] for i in blk]
-            verdict = hull_membership(instance.p, simplex, d)
-            if verdict == BOUNDARY:
-                raise Degenerate("query point on a block-hull boundary")
-            if verdict == OUTSIDE:
-                ok = False
-                break
-        if ok:
-            out.append(partition)
-    return out
+    p = config.n - 1
+    # q-1 blocks of at most d+1 labels cover all (d+1)(q-1) labels only at size d+1.
+    return [
+        partition
+        for partition in partitions_with_max_block(range(p), config.q - 1, config.d + 1)
+        if _classify(((p,),) + partition, config) is not None
+    ]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,12 +127,18 @@ def test_usage_error_exit_2():
             {},
             id="records-1",
         ),
+        pytest.param(("render", "--input", "{cfg}", "--out", "{dir}"), {}, id="out-directory"),
+        pytest.param(
+            ("render", "--input", "{cfg}", "--out", "{dir}/no-such-dir/demo.svg"),
+            {},
+            id="out-missing-parent",
+        ),
     ],
 )
 def test_bad_input_exit_2(args, env, tmp_path):
     cfg = tmp_path / "demo.cfg"  # "{cfg}" in args names a readable configuration
     cfg.write_text(GOOD)
-    args = [a.format(cfg=cfg, out=tmp_path / "demo.svg") for a in args]
+    args = [a.format(cfg=cfg, out=tmp_path / "demo.svg", dir=tmp_path) for a in args]
     proc = run_cli(*args, env={**os.environ, **env})
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -150,6 +157,17 @@ def test_enumerate_input_exit_code_follows_checks(tmp_path, monkeypatch, capsys)
     assert report["T"] == 0
     assert not report["checks"]["lower_bound_(q-d)!"]["ok"]
     assert not report["ok"]
+
+
+def test_readme_configuration_classifies(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Configuration files are exact and human-writable:", 1)[1]
+    block = after.split("```", 2)[1]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    assert cli.main(["enumerate", "--input", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["T"] == 4 and report["histogram"] == {"I": 2, "II(2)": 2}
 
 
 def test_degenerate_exit_3(tmp_path):

@@ -12,6 +12,11 @@ On the two boundary constructions of `test_ground_truth`, every verdict
 `is_tverberg` does give must match the LP, and each refusal (`Degenerate`)
 must be a candidate whose hulls the LP finds touching.
 
+`birch_records` asks the same classifier whether p, the configuration's
+last point, is a type I singleton; it must list exactly the partitions in
+which `hull_membership`, on explicit points, puts p inside every block, and
+refuse exactly the draws the explicit general-position test fails.
+
 More seeds, and (d, q) = (2, 4), carry the `slow` marker.
 """
 
@@ -22,12 +27,20 @@ import pytest
 from test_ground_truth import _crossing_segments_on_triangle_edge, _three_planes_on_an_edge
 from tverlab.constraints import sample_configuration
 from tverlab.errors import Degenerate
-from tverlab.geometry import INSIDE, PointConfiguration, common_point, hull_membership
-from tverlab.partitions import enumerate_candidate_partitions
+from tverlab.geometry import (
+    INSIDE,
+    OUTSIDE,
+    PointConfiguration,
+    common_point,
+    hull_membership,
+    points_in_general_position,
+)
+from tverlab.partitions import enumerate_candidate_partitions, partitions_with_max_block
 from tverlab.rng import SplitMix64
-from tverlab.tverberg import is_tverberg, tverberg_records, tverberg_records_oracle
+from tverlab.tverberg import birch_records, is_tverberg, tverberg_records, tverberg_records_oracle
 
 TIER1_PAIRS = [(1, 3), (1, 4), (2, 3), (3, 3)]
+BIRCH_BOUNDS = (3, 30, 1000)  # coordinate bounds the Birch draws cycle through
 
 
 def _classified(d, q, seed, rational):
@@ -89,3 +102,37 @@ def test_boundary_verdicts_match_lp_oracle(build):
             continue
         assert (record is not None) == meet, partition
     assert refused >= 1
+
+
+@pytest.mark.parametrize("d,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_birch_records_match_hull_membership(d, k):
+    """Coordinates bounded by 3 make dependent subsets and p equal to a
+    point common; larger bounds give general position and non-zero counts."""
+    rng = SplitMix64(31 + 10 * d + k)
+    refused = counted = 0
+    for draw in range(40):
+        bound = BIRCH_BOUNDS[draw % len(BIRCH_BOUNDS)]
+        points = [
+            tuple(rng.randint(-bound, bound) for _ in range(d)) for _ in range(k * (d + 1))
+        ]
+        p = tuple(
+            Fraction(rng.randint(-bound // 3, bound // 3), rng.randint(1, 2)) for _ in range(d)
+        )
+        config = PointConfiguration(d, k + 1, tuple(points) + (p,))
+        generic = p not in points and points_in_general_position(points + [p], d)
+        try:
+            got = birch_records(config)
+        except Degenerate:
+            assert not generic
+            refused += 1
+            continue
+        assert generic
+        expected = []
+        for partition in partitions_with_max_block(range(len(points)), k, d + 1):
+            verdicts = [hull_membership(p, [points[i] for i in blk], d) for blk in partition]
+            assert set(verdicts) <= {INSIDE, OUTSIDE}
+            if all(v == INSIDE for v in verdicts):
+                expected.append(partition)
+        assert got == expected
+        counted += bool(got)
+    assert refused and counted

@@ -19,7 +19,6 @@ from tverlab.errors import Degenerate
 from tverlab.geometry import PointConfiguration, effective_general_position
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import (
-    BirchInstance,
     birch_records,
     counting_report,
     is_tverberg,
@@ -104,4 +103,4 @@ def test_birch_point_on_block_facet_is_refused():
     # p = (2, 0) is the midpoint of the first block's edge (0,0)-(4,0)
     points = ((0, 0), (4, 0), (1, 5), (9, 9), (12, 7), (8, 13))
     with pytest.raises(Degenerate):
-        birch_records(BirchInstance(2, 2, points, (2, 0)))
+        birch_records(PointConfiguration(2, 3, points + ((2, 0),)))

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from tverlab.lp import lp_feasible
+from tverlab.lp import clear_denominators, lp_feasible
 
 
 def _cofactor_det(mat):
@@ -112,3 +112,14 @@ def test_lp_feasible_matches_brute_force(rational):
         A, b = _random_system(rng, rational)
         verdicts.add(_check(A, b) is not None)
     assert verdicts == {True, False}
+
+
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
+    cleared, lcm = clear_denominators([Fraction(2), 3])
+    assert (cleared, lcm) == ([2, 3], 1) and type(cleared[0]) is int
+    row = [3, -1, 0]
+    cleared, lcm = clear_denominators(row)
+    assert (cleared, lcm) == (row, 1)
+    cleared.append(5)  # an integer row is copied, not aliased
+    assert row == [3, -1, 0]

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from tverlab.constraints import sample_configuration
 from tverlab.errors import Degenerate, InvalidParameters
-from tverlab.geometry import PointConfiguration, barycentric_coordinates
+from tverlab.geometry import PointConfiguration, barycentric_coordinates, effective_general_position
 from tverlab.partitions import enumerate_candidate_partitions
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import (
-    BirchInstance,
-    birch_general_position,
     birch_records,
     counting_report,
     is_prime_power,
@@ -189,22 +187,27 @@ def test_relabeling_permutes_records(perm):
     assert got == mapped
 
 
+def birch(d, k, points, p):
+    """The Birch instance of k(d+1) points around p: p is the last label."""
+    return PointConfiguration(d, k + 1, tuple(points) + (p,))
+
+
 def test_birch_two_pairings():
-    instance = BirchInstance(1, 2, ((-2,), (-1,), (1,), (2,)), (0,))
-    parts = birch_records(instance)
+    parts = birch_records(birch(1, 2, ((-2,), (-1,), (1,), (2,)), (0,)))
     assert len(parts) == 2
     assert ((0, 2), (1, 3)) in parts
     assert ((0, 3), (1, 2)) in parts
 
 
 def test_birch_outside_hull():
-    instance = BirchInstance(1, 2, ((1,), (2,), (3,), (4,)), (0,))
-    assert birch_records(instance) == []
+    assert birch_records(birch(1, 2, ((1,), (2,), (3,), (4,)), (0,))) == []
 
 
 def test_birch_general_position_gate():
-    instance = BirchInstance(1, 2, ((0,), (1,), (2,), (3,)), (0,))
-    assert not birch_general_position(instance)  # a point equals p
+    config = birch(1, 2, ((0,), (1,), (2,), (3,)), (0,))
+    assert not effective_general_position(config)  # a point equals p
+    with pytest.raises(Degenerate, match="relative to p"):
+        birch_records(config)
 
 
 @pytest.mark.parametrize("d,k", [(1, 2), (1, 3), (2, 2)])
@@ -216,10 +219,10 @@ def test_birch_counts_even_and_bounded(d, k):
                 tuple(rng.randint(-1000, 1000) for _ in range(d))
                 for _ in range(k * (d + 1))
             )
-            instance = BirchInstance(d, k, pts, tuple([0] * d))
-            if birch_general_position(instance):
+            config = birch(d, k, pts, tuple([0] * d))
+            if effective_general_position(config):
                 break
-        count = len(birch_records(instance))
+        count = len(birch_records(config))
         assert count % 2 == 0
         assert count == 0 or count >= math.factorial(k)
 
