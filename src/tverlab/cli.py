@@ -11,6 +11,7 @@ import json
 import re
 import sys
 import time
+from itertools import islice
 
 from . import drivers
 from .config_io import MIN_D, MIN_Q, format_scalar, parse_configuration
@@ -23,13 +24,14 @@ from .constraints import (
     Star,
     constrained_records,
     instantiate,
-    witness_search,
 )
 from .errors import Degenerate, InvalidParameters, TverlabError
 from .geometry import PointConfiguration
 from .partitions import enumerate_candidate_partitions
 from .svg import render_svg
 from .tverberg import counting_report, tverberg_records
+
+MAX_LISTED = 200  # `enumerate` lists the candidates only up to this many
 
 GRAPH_COMPONENTS = {
     "k": CompleteK,
@@ -79,10 +81,12 @@ def _record_dict(record):
 
 def _load_config(path) -> PointConfiguration:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InvalidParameters(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParameters(f"cannot read {path}: {exc}") from exc
     return parse_configuration(text)
 
 
@@ -97,15 +101,17 @@ def cmd_enumerate(args):
         report["records"] = [_record_dict(r) for r in records]
         return report, report["ok"]
     n = (args.d + 1) * (args.q - 1) + 1
-    candidates = list(enumerate_candidate_partitions(n, args.q, args.d))
+    candidates = enumerate_candidate_partitions(n, args.q, args.d)
+    listed = list(islice(candidates, MAX_LISTED))
+    count = len(listed) + sum(1 for _ in candidates)
     report = {
         "d": args.d,
         "q": args.q,
         "n": n,
-        "candidates": len(candidates),
+        "candidates": count,
     }
-    if len(candidates) <= 200:
-        report["partitions"] = [[list(b) for b in p] for p in candidates]
+    if count <= MAX_LISTED:
+        report["partitions"] = [[list(b) for b in p] for p in listed]
     return report, True
 
 
@@ -137,22 +143,9 @@ def cmd_constrain(args):
 def cmd_search(args):
     n = (args.d + 1) * (args.q - 1) + 1
     graph = _graph_for(args.graph, n)
-    witness = witness_search(args.q, args.d, graph, args.seed, args.budget)
-    report = {
-        "q": args.q,
-        "d": args.d,
-        "graph": args.graph,
-        "budget": args.budget,
-        "found": witness is not None,
-    }
-    ok = True
-    if witness is not None:
-        kept = constrained_records(witness, graph)
-        ok = not kept  # a witness must survive exact re-enumeration
-        report["witness"] = [_point_strings(p) for p in witness.points]
-        report["verified"] = ok
-    report["ok"] = ok
-    return report, ok
+    report = {"q": args.q, "d": args.d, "graph": args.graph, "budget": args.budget}
+    report.update(drivers.witness_report(args.q, args.d, graph, args.budget, args.seed))
+    return report, report["ok"]
 
 
 def cmd_complex(args):
@@ -169,6 +162,7 @@ def cmd_complex(args):
 
 
 def cmd_verify_all(args):
+    star = (drivers.STAR_WITNESS_Q, drivers.STAR_WITNESS_D, drivers.STAR_WITNESS_GRAPH)
     criteria = [
         ("radon_baseline", lambda: drivers.radon_baseline()),
         ("counting_d1_q3", lambda: drivers.counting_campaign(1, 3, args.samples, args.seed)),
@@ -177,7 +171,7 @@ def cmd_verify_all(args):
             "single_edge_constraints",
             lambda: drivers.single_edge_constraint_campaign(args.samples, args.seed),
         ),
-        ("star_witness_search", lambda: drivers.star_witness_campaign(args.budget, args.seed)),
+        ("star_witness_search", lambda: drivers.witness_report(*star, args.budget, args.seed)),
         ("birch_counts", lambda: drivers.birch_campaign(args.samples, args.seed)),
         ("chessboard_connectivity", lambda: drivers.chessboard_connectivity_campaign(6)),
         ("lemma_connectivity", lambda: drivers.lemma_connectivity_campaign()),

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 from .complexes import chessboard_on, complex_C, complex_D, complex_E
 from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
-from .geometry import PointConfiguration, common_point, effective_general_position
+from .geometry import PointConfiguration, effective_general_position
 from .partitions import enumerate_candidate_partitions
 from .rng import SplitMix64
-from .tverberg import is_prime_power, is_tverberg
+from .tverberg import _classify, is_prime_power
 
 WITNESS_COORD_BOUND = 1 << 10
 SAMPLE_COORD_BOUND = 1 << 20
@@ -214,37 +214,32 @@ def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
             return config
 
 
+def avoiding_candidates(graph: ConstraintGraph, q, d):
+    """The candidate partitions for (q, d) that avoid the graph."""
+    n = (d + 1) * (q - 1) + 1
+    return [p for p in enumerate_candidate_partitions(n, q, d) if avoids(p, graph)]
+
+
 def witness_search(q, d, graph: ConstraintGraph, seed, budget):
     """Search for a configuration with no avoiding Tverberg partition.
 
-    Deterministic given the seed.  A returned witness has been re-verified
-    by an independent full enumeration with exact LP hull-intersection
-    tests.  Samples whose classification hits a degeneracy are skipped
-    (they still consume budget).
+    Deterministic given the seed.  Each draw is already in effective general
+    position (`sample_configuration`), so every avoiding candidate goes
+    straight to the shared classifier, and the first draw on which none is
+    Tverberg is returned.  The witness is not re-checked here;
+    `drivers.witness_report` checks it once with the exact LP oracle.
+    Draws whose classification hits a degeneracy are skipped (they still
+    consume budget).
     """
     if budget < 1:
         return None
     rng = SplitMix64(seed)
-    n = (d + 1) * (q - 1) + 1
-    candidates = [
-        p for p in enumerate_candidate_partitions(n, q, d) if avoids(p, graph)
-    ]
+    candidates = avoiding_candidates(graph, q, d)
     for _ in range(budget):
         config = sample_configuration(d, q, rng, WITNESS_COORD_BOUND)
         try:
-            if any(is_tverberg(p, config) is not None for p in candidates):
-                continue
+            if all(_classify(p, config) is None for p in candidates):
+                return config
         except Degenerate:
             continue
-        if _verify_witness(config, candidates):
-            return config
     return None
-
-
-def _verify_witness(config, avoiding_candidates):
-    """Independent re-check: no avoiding candidate has intersecting hulls."""
-    for partition in avoiding_candidates:
-        blocks = [[config.points[i] for i in blk] for blk in partition]
-        if common_point(blocks, config.d) is not None:
-            return False
-    return True

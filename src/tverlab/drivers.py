@@ -15,8 +15,8 @@ from .constraints import (
     DisjointUnion,
     Path,
     Star,
+    avoiding_candidates,
     avoids,
-    constrained_records,
     family_admissible,
     instantiate,
     sample_configuration,
@@ -39,6 +39,7 @@ from .complexes import (
     verify_intersection_identities,
     vertex_orbit_sizes,
 )
+from .config_io import format_scalar
 from .errors import Degenerate
 from .geometry import PointConfiguration, effective_general_position
 from .homology import homology_vanishes_through
@@ -52,6 +53,7 @@ from .tverberg import (
 
 FACTOR_FACET_BUDGET = 25_000  # goodness campaign: largest factor checked
 STAR_WITNESS_Q, STAR_WITNESS_D = 3, 2  # where K_{1,2} is inadmissible
+STAR_WITNESS_GRAPH = instantiate(Star(2), (STAR_WITNESS_D + 1) * (STAR_WITNESS_Q - 1) + 1)
 BIRCH_PAIRS = ((1, 2), (1, 3), (2, 2))  # (d, k) of the Birch campaign
 BIRCH_COORD_BOUND = 1 << 20  # Birch sample coordinates lie in [-bound, bound]
 STRUCTURAL_MAX_L = 5  # largest l of the C/D/E facet-count checks
@@ -122,19 +124,19 @@ def single_edge_constraint_campaign(samples, seed, d=2, q=3):
     }
 
 
-def star_witness_campaign(budget, seed):
-    """Best-effort search for a configuration with no partition avoiding
-    the star K_{1,2}; any hit is exactly re-verified."""
-    q, d = STAR_WITNESS_Q, STAR_WITNESS_D
-    n = (d + 1) * (q - 1) + 1
-    graph = instantiate(Star(2), n)
+def witness_report(q, d, graph, budget, seed):
+    """Search for a configuration with no partition avoiding the graph, and
+    check a found witness once with the exact LP oracle.
+
+    `verified` is the oracle's verdict that no avoiding candidate's hulls
+    meet, and `ok` follows it; a search that finds nothing is ok."""
     witness = witness_search(q, d, graph, seed, budget)
-    report = {"ok": True, "budget": budget, "seed": seed, "found": witness is not None}
+    report = {"found": witness is not None}
     if witness is not None:
-        report["witness_points"] = [list(p) for p in witness.points]
-        # independent confirmation that no avoiding partition intersects
-        kept = constrained_records(witness, graph)
-        report["ok"] = not kept
+        hits = tverberg_records_oracle(witness, avoiding_candidates(graph, q, d))
+        report["witness"] = [[format_scalar(c) for c in p] for p in witness.points]
+        report["verified"] = not hits
+    report["ok"] = report.get("verified", True)
     return report
 
 

@@ -16,9 +16,9 @@ steps, other pivot choices) and serves as the independent check.
 
 The Tverberg and Birch classifier reads the determinant table below, not
 these explicit-point predicates: `orientation` serves `render`, and
-`common_point` the LP oracle and the witness re-check.  `hull_membership`,
-`barycentric_coordinates`, `affine_intersection_point` and
-`points_in_general_position` are the tests' references, and the traced
+`common_point` the LP oracle, which also checks a search's witness.
+`hull_membership`, `barycentric_coordinates`, `affine_intersection_point`
+and `points_in_general_position` are the tests' references, and the traced
 benchmark (`perfbench/spans.py`) patches them by name.
 
 A `PointConfiguration` computes one table, once, and caches it: the integer

@@ -11,8 +11,9 @@ The canonical Tverberg point of a record is the singleton vertex (type I)
 or the affine-hull intersection point of the low-dimensional blocks
 (type II).
 
-`is_tverberg` and `tverberg_records` share one classifier, which works on
-the configuration's determinant table D (see `geometry`) and integers:
+`is_tverberg`, `tverberg_records` and `constraints.witness_search` share
+one classifier, which works on the configuration's determinant table D
+(see `geometry`) and integers:
   * a point v lies in a full simplex S iff every D(S with s_i -> v) has
     the sign of D(S);
   * two low blocks A, B hold d+2 labels, and their hulls meet iff the Radon
@@ -226,11 +227,15 @@ def tverberg_records(config: PointConfiguration):
     return records
 
 
-def tverberg_records_oracle(config: PointConfiguration):
-    """Independent brute force: exact LP hull-intersection test on every
-    candidate, no type-classification shortcut."""
+def tverberg_records_oracle(config: PointConfiguration, candidates=None):
+    """Independent brute force: the canonical partitions, among the given
+    candidates (by default every candidate partition of the configuration),
+    whose blocks' hulls meet, by one exact LP each and no type-classification
+    shortcut."""
+    if candidates is None:
+        candidates = enumerate_candidate_partitions(config.n, config.q, config.d)
     hits = []
-    for partition in enumerate_candidate_partitions(config.n, config.q, config.d):
+    for partition in candidates:
         blocks = [[config.points[i] for i in blk] for blk in partition]
         if common_point(blocks, config.d) is not None:
             hits.append(canonical(partition))

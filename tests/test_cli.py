@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tverlab import cli
+from tverlab import cli, constraints
 from tverlab.config_io import format_configuration, parse_configuration
 from tverlab.errors import ArityError, ParseError
 
@@ -128,6 +128,8 @@ def test_usage_error_exit_2():
             id="records-1",
         ),
         pytest.param(("render", "--input", "{cfg}", "--out", "{dir}"), {}, id="out-directory"),
+        pytest.param(("enumerate", "--input", "{bad}"), {}, id="enumerate-not-utf8"),
+        pytest.param(("render", "--input", "{bad}", "--out", "{out}"), {}, id="render-not-utf8"),
         pytest.param(
             ("render", "--input", "{cfg}", "--out", "{dir}/no-such-dir/demo.svg"),
             {},
@@ -138,7 +140,9 @@ def test_usage_error_exit_2():
 def test_bad_input_exit_2(args, env, tmp_path):
     cfg = tmp_path / "demo.cfg"  # "{cfg}" in args names a readable configuration
     cfg.write_text(GOOD)
-    args = [a.format(cfg=cfg, out=tmp_path / "demo.svg", dir=tmp_path) for a in args]
+    bad = tmp_path / "bad.cfg"  # "{bad}" names a file that is not valid UTF-8
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    args = [a.format(cfg=cfg, bad=bad, out=tmp_path / "demo.svg", dir=tmp_path) for a in args]
     proc = run_cli(*args, env={**os.environ, **env})
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -211,6 +215,18 @@ def test_search_report_ok(capsys, graph, extra, found):
     assert report["found"] is found
     assert report.get("verified", True) is True
     assert report["ok"] is True
+
+
+def test_search_verified_is_the_lp_verdict(capsys, monkeypatch):
+    # A classifier that finds no Tverberg partition turns the first draw into
+    # a witness, which the exact LP then refutes.
+    monkeypatch.setattr(constraints, "_classify", lambda partition, config: None)
+    code = cli.main(["search", "--q", "3", "--d", "2", "--graph", "star2", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["found"] is True
+    assert report["verified"] is False
+    assert report["ok"] is False
 
 
 def test_render_svg(tmp_path):

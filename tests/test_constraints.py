@@ -9,6 +9,7 @@ from tverlab.constraints import (
     DisjointUnion,
     Path,
     Star,
+    avoiding_candidates,
     avoids,
     constrained_records,
     family_admissible,
@@ -18,7 +19,7 @@ from tverlab.constraints import (
 )
 from tverlab.errors import Degenerate, NotPrimePower
 from tverlab.rng import SplitMix64
-from tverlab.tverberg import tverberg_records
+from tverlab.tverberg import tverberg_records, tverberg_records_oracle
 
 
 def test_avoids_edge_inside_block():
@@ -150,6 +151,7 @@ def test_witness_search_star2_finds_and_verifies():
     witness = witness_search(3, 2, g, seed=1, budget=5000)
     assert witness is not None
     assert constrained_records(witness, g) == []
+    assert tverberg_records_oracle(witness, avoiding_candidates(g, 3, 2)) == []
 
 
 def test_witness_search_deterministic():
