@@ -170,10 +170,9 @@ def complex_C(l, q, rows=None) -> SimplicialComplex:
     return _ruled_complex(rows, q, _apex_apart)
 
 
-def c_cones(l, q, rows=None):
+def c_cones(l, q):
     """The decomposition of complex_C into the q cones L_m (apex column m)."""
-    rows = _rows_for(rows, l + 1, "need l+1 rows (apex first)")
-    return list(split_by_column(complex_C(l, q, rows), rows[0], q).values())
+    return list(split_by_column(complex_C(l, q), 0, q).values())
 
 
 def complex_D(l, q, rows=None) -> SimplicialComplex:
@@ -184,11 +183,10 @@ def complex_D(l, q, rows=None) -> SimplicialComplex:
     return _ruled_complex(_rows_for(rows, l + 1, "need l+1 rows"), q, _walk)
 
 
-def d_subcomplexes(l, q, rows=None):
+def d_subcomplexes(l, q):
     """The subcomplexes D^k (facets whose last row uses column k), k=1..q.
     Here l may be 0 (a single row)."""
-    rows = _rows_for(rows, l + 1, "need l+1 rows")
-    return split_by_column(_ruled_complex(rows, q, _walk), rows[-1], q)
+    return split_by_column(_ruled_complex(range(l + 1), q, _walk), l, q)
 
 
 def complex_E(l, q, rows=None) -> SimplicialComplex:
@@ -199,19 +197,17 @@ def complex_E(l, q, rows=None) -> SimplicialComplex:
     return _ruled_complex(_rows_for(rows, l, "need l rows"), q, _closed_walk)
 
 
-def e_subcomplexes(l, q, rows=None):
+def e_subcomplexes(l, q):
     """The subcomplexes E^i: facets ending in column i with first row != i."""
-    rows = _rows_for(rows, l, "need l rows")
-    return split_by_column(complex_E(l, q, rows), rows[-1], q)
+    return split_by_column(complex_E(l, q), l - 1, q)
 
 
-def complex_D_tilde(i, S, l, q, rows=None) -> SimplicialComplex:
+def complex_D_tilde(i, S, l, q) -> SimplicialComplex:
     """Subcomplex of D^i obtained by deleting all faces with a first-row
     vertex in the column set S."""
-    rows = _rows_for(rows, l + 1, "need l+1 rows")
     if i not in range(1, q + 1) or not set(S) <= set(range(1, q + 1)):
         raise InvalidParameters("need a column i and a set S of columns in 1..q")
-    return _delete_row_columns(d_subcomplexes(l, q, rows)[i], rows[0], S)
+    return _delete_row_columns(d_subcomplexes(l, q)[i], 0, S)
 
 
 def _delete_row_columns(K, row, S):
@@ -386,32 +382,25 @@ class JoinComplex:
         return sum(f.dim + 1 for f in self.factors) - 1
 
 
-def good_subcomplex(spec, q, d, rows=None) -> JoinComplex:
+def good_subcomplex(spec, q, d) -> JoinComplex:
     """The invariant subcomplex avoiding a family's constraint edges: the
     join of per-component complexes with all remaining rows free.
 
-    `rows` assigns rows 0..N to the family's vertex slots (defaults to
-    0, 1, 2, ...); for a Star the first row is the center, for Path/Cycle
-    the rows follow the path/cycle order.
+    The family's vertex slots take rows 0, 1, 2, ... in order (as in
+    `constraints.instantiate`); for a Star the first row is the center, for
+    Path/Cycle the rows follow the path/cycle order.
     """
     from .constraints import family_admissible
 
     if not family_admissible(spec, q, d):
         raise InvalidParameters(f"{spec!r} is not an admissible family for q={q}, d={d}")
-    n_rows = (d + 1) * (q - 1) + 1
-    count = spec.vertex_count()
-    if rows is None:
-        rows = list(range(count))
-    if len(rows) != count or not set(rows) <= set(range(n_rows)):
-        raise InvalidParameters("row assignment must pick distinct rows 0..N")
     factors = []
     off = 0
     for part in spec.parts:
-        factors.append(part.complex(q, rows[off : off + part.vertex_count()]))
+        factors.append(part.complex(q, range(off, off + part.vertex_count())))
         off += part.vertex_count()
-    for row in range(n_rows):
-        if row not in rows:
-            factors.append(assignment_complex([row], q))
+    for row in range(off, (d + 1) * (q - 1) + 1):
+        factors.append(assignment_complex([row], q))
     return JoinComplex(factors)
 
 

@@ -177,15 +177,9 @@ def family_admissible(spec, q, d) -> bool:
     return all(p.admissible(q, n_labels) for p in spec.parts)
 
 
-def instantiate(spec, n, vertices=None) -> ConstraintGraph:
-    """Constraint graph of a family spec on explicit vertex labels
-    (defaults to 0, 1, 2, ...)."""
-    count = spec.vertex_count()
-    if vertices is None:
-        vertices = list(range(count))
-    if len(vertices) != count or len(set(vertices)) != count:
-        raise InvalidParameters("need distinct vertices, one per family slot")
-    return ConstraintGraph(n, frozenset(spec.edges_on(list(vertices))))
+def instantiate(spec, n) -> ConstraintGraph:
+    """Constraint graph of a family spec on the vertex labels 0, 1, 2, ..."""
+    return ConstraintGraph(n, frozenset(spec.edges_on(list(range(spec.vertex_count())))))
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +214,21 @@ def avoiding_candidates(graph: ConstraintGraph, q, d):
     return [p for p in enumerate_candidate_partitions(n, q, d) if avoids(p, graph)]
 
 
-def witness_search(q, d, graph: ConstraintGraph, seed, budget):
-    """Search for a configuration with no avoiding Tverberg partition.
+def witness_search(q, d, candidates, seed, budget):
+    """Search for a configuration on which none of the given candidate
+    partitions (`avoiding_candidates` of a constraint graph) is Tverberg.
 
     Deterministic given the seed.  Each draw is already in effective general
-    position (`sample_configuration`), so every avoiding candidate goes
-    straight to the shared classifier, and the first draw on which none is
-    Tverberg is returned.  The witness is not re-checked here;
-    `drivers.witness_report` checks it once with the exact LP oracle.
+    position (`sample_configuration`), so every candidate goes straight to
+    the shared classifier, and the first draw on which none is Tverberg is
+    returned.  The witness is not re-checked here; `drivers.witness_report`
+    checks it once with the exact LP oracle, over the same candidates.
     Draws whose classification hits a degeneracy are skipped (they still
     consume budget).
     """
     if budget < 1:
         return None
     rng = SplitMix64(seed)
-    candidates = avoiding_candidates(graph, q, d)
     for _ in range(budget):
         config = sample_configuration(d, q, rng, WITNESS_COORD_BOUND)
         try:

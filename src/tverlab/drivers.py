@@ -130,10 +130,11 @@ def witness_report(q, d, graph, budget, seed):
 
     `verified` is the oracle's verdict that no avoiding candidate's hulls
     meet, and `ok` follows it; a search that finds nothing is ok."""
-    witness = witness_search(q, d, graph, seed, budget)
+    candidates = avoiding_candidates(graph, q, d)
+    witness = witness_search(q, d, candidates, seed, budget)
     report = {"found": witness is not None}
     if witness is not None:
-        hits = tverberg_records_oracle(witness, avoiding_candidates(graph, q, d))
+        hits = tverberg_records_oracle(witness, candidates)
         report["witness"] = [[format_scalar(c) for c in p] for p in witness.points]
         report["verified"] = not hits
     report["ok"] = report.get("verified", True)

@@ -7,8 +7,11 @@ Every linear system (determinants above 3x3, barycentric coordinates,
 affine-hull intersections) goes through one kernel, `_reduce`: it clears
 each row's denominators and runs fraction-free Gauss-Jordan elimination on
 plain integers, with the two integer steps of `lp`.  A result that needs
-division becomes a Fraction only when it is returned.  Determinants up to
-3x3, the hot path of the determinant table, use closed forms.
+division becomes a Fraction only when it is returned.  `det` has closed
+forms up to 3x3, and 1 for the empty matrix: these serve the determinant
+table up to d = 3 and the Tverberg classifier's Cramer minors up to d = 4,
+so `_reduce` is off the classifier's hot path there; the classifier calls it
+directly only when every Cramer minor of a candidate vanishes.
 
 `hull_membership` is the one point-in-simplex predicate for explicit
 points.  `common_point` goes through the exact LP instead (the same integer
@@ -87,11 +90,14 @@ def _reduce(rows, ncols):
 
 
 def det(matrix):
-    """Exact determinant: closed forms up to 3x3, `_reduce` beyond.
+    """Exact determinant: closed forms up to 3x3 (1 for the empty
+    matrix), `_reduce` beyond.
 
     An all-int matrix gives an int; otherwise n >= 4 gives a Fraction.
     """
     n = len(matrix)
+    if n == 0:
+        return 1
     if n == 1:
         return matrix[0][0]
     if n == 2:

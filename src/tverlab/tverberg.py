@@ -12,19 +12,23 @@ or the affine-hull intersection point of the low-dimensional blocks
 (type II).
 
 `is_tverberg`, `tverberg_records` and `constraints.witness_search` share
-one classifier, which works on the configuration's determinant table D
-(see `geometry`) and integers:
-  * a point v lies in a full simplex S iff every D(S with s_i -> v) has
-    the sign of D(S);
-  * two low blocks A, B hold d+2 labels, and their hulls meet iff the Radon
-    coefficients lambda_x = +-D(A u B minus x) have one sign on A and the
-    other on B; taking lambda positive on A, the point is
-    sum_A lambda_a a / sum_A lambda_a, and since D is linear in each row, S
-    contains it iff sum_A lambda_a D(S_i -> a) has the sign of D(S) for
-    every i;
-  * k >= 3 low blocks take one fraction-free elimination for their affine
-    parameters, whose numerators are every low block's barycentric
-    coordinates, and the same table sums for the full blocks.
+one classifier, which reads the configuration's determinant table D (see
+`geometry`) and computes with integers.  One formula gives every type's
+point: x = sum_F w_a a / sum_F w_a over the labels of the first low block
+F.  Each other low block B is completed to the simplex S_B = B u Y_B, Y_B
+the first d+1-|B| labels of F, and x lies in aff(B) iff for every y in Y_B
+
+    sum_F w_a D(S_B with y -> a) = 0,
+
+|F|-1 equations in |F| unknowns.  Cramer's rule solves them: w_c = (-1)^c
+times the minor without column c, so a Type I singleton (no equations)
+gets w = [1].  With sum(w) > 0, D being linear in each homogeneous row, a
+simplex S (a full block, or S_B at B's places) has x strictly inside iff
+every sum_F w_a D(S with s_i -> a) has the sign of D(S).  A zero sum(w)
+with some w_c != 0 means the hulls meet only at infinity.  If every w_c is
+0, the equations are rank deficient, and the hulls meet in more than a
+point (Degenerate) or not at all (None) as the equations plus sum(w) = 1
+are consistent or not, which one `_reduce` decides on this cold path.
 A `Fraction` is built only for an accepted type II record's point.
 
 A Birch partition of k(d+1) points around p (Birch 1959) is the same thing
@@ -34,15 +38,17 @@ and asks the same classifier.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Degenerate, InvalidParameters
-from .geometry import PointConfiguration, _reduce, common_point, effective_general_position
+from .geometry import PointConfiguration, _reduce, common_point, det, effective_general_position
 from .partitions import canonical, enumerate_candidate_partitions, partitions_with_max_block
 
 TYPE_I = "I"
 TYPE_II = "II"
+LOW_BOUNDARY = "intersection point on a low-block boundary"
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,13 @@ class TverbergRecord:
 
 def _swapped(table, simplex, i, a):
     """D(simplex with its i-th label replaced by a), read off the
-    determinant table.  `simplex` is a sorted label tuple without a; sorting
-    the replaced tuple moves a past |i - j| labels, j being a's sorted place."""
-    r = sum(s < a for s in simplex)
+    determinant table.  `simplex` is a sorted label tuple.  If a is one of
+    its labels the result is D(simplex) at a's own place and 0 elsewhere;
+    otherwise sorting the replaced tuple moves a past |i - j| labels, j
+    being a's sorted place."""
+    r = bisect_left(simplex, a)
+    if r < len(simplex) and simplex[r] == a:
+        return table[simplex] if r == i else 0
     if i < r:
         key, moves = simplex[:i] + simplex[i + 1 : r] + (a,) + simplex[r:], r - 1 - i
     else:
@@ -68,126 +78,99 @@ def _swapped(table, simplex, i, a):
     return -table[key] if moves % 2 else table[key]
 
 
-def _radon_weights(a_block, b_block, table):
-    """Positive weights w on the labels of A with sum(w_a * a) / sum(w) the
-    one point where conv A meets conv B, or None when the hulls miss.
+def _inside(table, simplex, positions, weights, labels, message):
+    """Whether the point sum(w_a * a) / sum(w), sum(w) > 0, has positive
+    barycentric coordinates at the given positions of `simplex`: False if
+    one is negative, else Degenerate(message) if one is 0, else True.
 
-    A and B hold d+2 labels z_0 < ... < z_{d+1}, whose one affine dependence
-    is lambda_j = (-1)^j D(z without z_j) (Cramer), every lambda non-zero in
-    general position.  The hulls meet iff lambda has one sign on A and the
-    other on B (Radon), and then the point is sum_A lambda_a a / sum_A lambda_a.
-    """
-    z = tuple(sorted(a_block + b_block))
-    lam = {}
-    for j, x in enumerate(z):
-        value = table[z[:j] + z[j + 1 :]]
-        lam[x] = -value if j % 2 else value
-    positive = lam[a_block[0]] > 0
-    if any((lam[a] > 0) != positive for a in a_block) or any(
-        (lam[b] > 0) == positive for b in b_block
-    ):
-        return None
-    return [lam[a] if positive else -lam[a] for a in a_block]
+    Coordinate i is sum_a w_a D(simplex with s_i -> a) / D(simplex), D
+    being linear in each homogeneous row."""
+    positive = table[simplex] > 0
+    boundary = False
+    for i in positions:
+        value = 0
+        for w, a in zip(weights, labels):
+            value += w * _swapped(table, simplex, i, a)
+        if value == 0:
+            boundary = True
+        elif (value > 0) != positive:
+            return False
+    if boundary:
+        raise Degenerate(message)
+    return True
 
 
-def _meet_weights(low, config):
-    """Positive weights on the first low block's labels for the one point
-    where the k >= 3 low blocks' affine hulls meet, or None when they miss
-    or that point is outside some block's hull.
-
-    One integer elimination solves for the blocks' affine parameters: block
-    j's point is b_j0 + sum_i t_ji (b_ji - b_j0), and the first block's point
-    equals every other's, (k-1)d equations in as many unknowns.  The
-    barycentric coordinates of every block are its parameters' numerators
-    over the one denominator.  Raises Degenerate when the hulls meet in more
-    than a point or the point is on a low block's relative boundary.
-    """
-    pts = config.cleared[1]
-    first = low[0]
-    offsets = [0]
-    for blk in low:
-        offsets.append(offsets[-1] + len(blk) - 1)
-    nvars = offsets[-1]
-    rows = []
-    for j in range(1, len(low)):
-        blk = low[j]
-        for t in range(config.d):
-            row = [0] * (nvars + 1)
-            b0 = pts[first[0]][t]
-            for i, label in enumerate(first[1:]):
-                row[i] = pts[label][t] - b0
-            c0 = pts[blk[0]][t]
-            for i, label in enumerate(blk[1:]):
-                row[offsets[j] + i] = c0 - pts[label][t]
-            row[-1] = c0 - b0
-            rows.append(row)
-    m, pivots, den, _ = _reduce(rows, nvars)
-    if len(pivots) < nvars:
-        if any(row[-1] for row in m[len(pivots) :]):
-            return None
-        raise Degenerate("affine hulls meet in more than a point")
-    params = [row[-1] if den > 0 else -row[-1] for row in m]
-    den = abs(den)
-    weights = []
-    for start, stop in zip(offsets, offsets[1:]):
-        coords = [den - sum(params[start:stop]), *params[start:stop]]
-        if any(c < 0 for c in coords):
-            return None
-        if 0 in coords:
-            raise Degenerate("intersection point on a low-block boundary")
-        weights.append(coords)
-    return weights[0]
+def _cramer(rows, m):
+    """The w with sum_c row[c] * w_c = 0 for each of the m-1 rows: w_c is
+    (-1)^c times the minor without column c, in closed form for m = 2, 3.
+    No rows (m = 1) give [1]."""
+    if m == 2:
+        ((a, b),) = rows
+        return [b, -a]
+    if m == 3:
+        (a, b, c), (e, f, g) = rows
+        return [b * g - c * f, c * e - a * g, a * f - b * e]
+    return [(-1) ** c * det([row[:c] + row[c + 1 :] for row in rows]) for c in range(m)]
 
 
 def _classify(partition, config):
     """The record of a candidate whose blocks are sorted label tuples, or
     None; the configuration is in effective general position.
 
-    The Tverberg point is sum(w_a * a) / sum(w) over the labels a of one
-    low block, with weights w > 0: the singleton itself (Type I), the Radon
-    point of two low blocks, or one elimination's solution for k >= 3.  A
-    full simplex S contains it iff sum_a w_a D(S with s_i -> a) has the sign
-    of D(S) for every i, D being multilinear in the rows.
+    The point's weights on the first low block F solve the table's
+    equations by Cramer's rule (see the module docstring).  Then F, each
+    other low block at its own places in its completed simplex, and each
+    full block must contain the point, in that order.
     """
     d = config.d
     table = config.determinants
-    full = [b for b in partition if len(b) == d + 1]
     low = [b for b in partition if len(b) <= d]
-
-    labels = low[0]
-    if len(low) == 1:  # type I: the lone low block is a singleton
-        ptype, k, weights = TYPE_I, None, [1]
-        on_boundary = "singleton on a block-hull boundary"
-    else:  # type II(k): the point where the low blocks' affine hulls meet
-        ptype, k = TYPE_II, len(low)
-        on_boundary = "intersection point on a block-hull boundary"
-        if k == 2:
-            weights = _radon_weights(low[0], low[1], table)
-        else:
-            weights = _meet_weights(low, config)
-        if weights is None:
+    first = low[0]
+    completed = []  # (B, S_B, |Y_B|) for the other low blocks
+    rows = []
+    for b in low[1:]:
+        gap = d + 1 - len(b)
+        s = tuple(sorted(b + first[:gap]))
+        completed.append((b, s, gap))
+        rows += ([_swapped(table, s, s.index(y), a) for a in first] for y in first[:gap])
+    weights = _cramer(rows, len(first))
+    total = sum(weights)
+    if total == 0:  # the hulls meet at infinity, in more than a point, or not at all
+        if any(weights):
             return None
-    for simplex in full:
-        positive = table[simplex] > 0
-        boundary = False
-        for i in range(d + 1):
-            value = sum(w * _swapped(table, simplex, i, a) for w, a in zip(weights, labels))
-            if value == 0:
-                boundary = True
-            elif (value > 0) != positive:
-                return None
-        if boundary:
-            raise Degenerate(on_boundary)
-    if ptype == TYPE_I:
-        point = config.points[labels[0]]
+        rows = [row + [0] for row in rows] + [[1] * (len(first) + 1)]
+        m, pivots, _, _ = _reduce(rows, len(first))
+        if any(row[-1] for row in m[len(pivots) :]):
+            return None
+        raise Degenerate("affine hulls meet in more than a point")
+    if total < 0:
+        weights, total = [-w for w in weights], -total
+    lowest = min(weights)
+    if lowest < 0:
+        return None
+    if lowest == 0:
+        raise Degenerate(LOW_BOUNDARY)
+    for b, s, gap in completed:  # Y_B's labels add 0 at B's places
+        places = [s.index(x) for x in b]
+        if not _inside(table, s, places, weights[gap:], first[gap:], LOW_BOUNDARY):
+            return None
+    if len(low) == 1:
+        on_boundary = "singleton on a block-hull boundary"
     else:
-        lcm, pts = config.cleared
-        total = sum(weights) * lcm
-        point = tuple(
-            Fraction(sum(w * pts[a][t] for w, a in zip(weights, labels)), total)
-            for t in range(d)
-        )
-    return TverbergRecord(canonical(partition), ptype, k, tuple(point))
+        on_boundary = "intersection point on a block-hull boundary"
+    for simplex in partition:
+        if len(simplex) == d + 1 and not _inside(
+            table, simplex, range(d + 1), weights, first, on_boundary
+        ):
+            return None
+    if len(low) == 1:
+        return TverbergRecord(canonical(partition), TYPE_I, None, config.points[first[0]])
+    lcm, pts = config.cleared
+    point = tuple(
+        Fraction(sum(w * pts[a][t] for w, a in zip(weights, first)), total * lcm)
+        for t in range(d)
+    )
+    return TverbergRecord(canonical(partition), TYPE_II, len(low), point)
 
 
 def is_tverberg(partition, config: PointConfiguration):

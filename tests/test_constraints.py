@@ -137,25 +137,26 @@ def test_admissible_families_leave_records(q, d):
 
 def test_witness_search_budget_zero():
     g = instantiate(Star(2), 7)
-    assert witness_search(3, 2, g, seed=1, budget=0) is None
+    assert witness_search(3, 2, avoiding_candidates(g, 3, 2), seed=1, budget=0) is None
 
 
 def test_witness_search_single_edge_absent():
     # K_2 is a constraint graph, so no witness can exist
     g = ConstraintGraph(7, frozenset([(0, 1)]))
-    assert witness_search(3, 2, g, seed=1, budget=60) is None
+    assert witness_search(3, 2, avoiding_candidates(g, 3, 2), seed=1, budget=60) is None
 
 
 def test_witness_search_star2_finds_and_verifies():
     g = instantiate(Star(2), 7)
-    witness = witness_search(3, 2, g, seed=1, budget=5000)
+    candidates = avoiding_candidates(g, 3, 2)
+    witness = witness_search(3, 2, candidates, seed=1, budget=5000)
     assert witness is not None
     assert constrained_records(witness, g) == []
-    assert tverberg_records_oracle(witness, avoiding_candidates(g, 3, 2)) == []
+    assert tverberg_records_oracle(witness, candidates) == []
 
 
 def test_witness_search_deterministic():
-    g = instantiate(Star(2), 7)
-    a = witness_search(3, 2, g, seed=1, budget=5000)
-    b = witness_search(3, 2, g, seed=1, budget=5000)
+    candidates = avoiding_candidates(instantiate(Star(2), 7), 3, 2)
+    a = witness_search(3, 2, candidates, seed=1, budget=5000)
+    b = witness_search(3, 2, candidates, seed=1, budget=5000)
     assert a == b

@@ -1,9 +1,9 @@
 """The determinant-table classifier against the exact LP oracle.
 
 `tverberg_records` decides every candidate from the configuration's table
-of (d+1)-subset determinants (Radon signs, one integer elimination for
-k >= 3 low blocks); `tverberg_records_oracle` solves one exact LP per
-candidate and shares nothing with it but the candidate enumeration.  Their
+of (d+1)-subset determinants (one Cramer formula for every type's point);
+`tverberg_records_oracle` solves one exact LP per candidate and shares
+nothing with it but the candidate enumeration.  Their
 partition lists must be equal, on integer samples and on rational ones,
 whose denominators the table clears first, and every record's point must
 lie strictly inside each of its blocks.

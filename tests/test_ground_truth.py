@@ -6,8 +6,8 @@ of a simplex, plus one point near its centroid) has exactly ((q-1)!)^d
 Tverberg partitions, all of Type I at the centre point: the centre is a
 singleton and every other block takes one point from each cluster.
 
-The (3, 4) cases carry the `slow` marker and are deselected by default;
-`pytest -m slow` runs them.
+The (3, 4) cases and the d=5 Type II(4) case carry the `slow` marker and
+are deselected by default; `pytest -m slow` runs them.
 """
 
 import math
@@ -23,6 +23,7 @@ from tverlab.tverberg import (
     counting_report,
     is_tverberg,
     tverberg_records,
+    tverberg_records_oracle,
 )
 
 SCALE = 10**6  # order of the simplex coordinates
@@ -104,3 +105,72 @@ def test_birch_point_on_block_facet_is_refused():
     points = ((0, 0), (4, 0), (1, 5), (9, 9), (12, 7), (8, 13))
     with pytest.raises(Degenerate):
         birch_records(PointConfiguration(2, 3, points + ((2, 0),)))
+
+
+# d=3 q=3: triangles 0-1-2, 3-4-5 and 6-7-8 in the parallel planes z = 0, 1, 2
+PARALLEL_TRIANGLES = (
+    (1, 5, 0), (-9, -2, 0), (-4, 8, 0),
+    (9, -4, 1), (-7, 8, 1), (-1, -8, 1),
+    (-7, -7, 2), (-9, 5, 2), (-9, -1, 2),
+)
+# d=3 q=3: the same triangles in the planes y = 0, x = 0 and x = y, which
+# share the z-axis; no point lies on it
+AXIS_TRIANGLES = (
+    (7, 0, -9), (2, 0, 3), (1, 0, -9),
+    (0, -4, -3), (0, 2, 9), (0, -5, 1),
+    (5, 5, -3), (-1, -1, -6), (4, 4, 8),
+)
+TRIANGLES = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+
+
+def test_parallel_planes_do_not_meet():
+    # The three planes' equations are rank deficient and inconsistent: the
+    # candidate is no Tverberg partition, and the count goes on.
+    config = PointConfiguration(3, 3, PARALLEL_TRIANGLES)
+    assert effective_general_position(config)
+    assert is_tverberg(TRIANGLES, config) is None
+    records = tverberg_records(config)
+    assert len(records) == 11
+    assert all(r.partition != TRIANGLES for r in records)
+
+
+def test_planes_through_a_line_are_refused():
+    config = PointConfiguration(3, 3, AXIS_TRIANGLES)
+    assert effective_general_position(config)
+    with pytest.raises(Degenerate, match="affine hulls meet in more than a point"):
+        is_tverberg(TRIANGLES, config)
+
+
+def _blocks_around_origin(d, sizes, seed):
+    """Blocks of the given sizes on consecutive labels, each with the origin
+    strictly inside its hull: the last point is minus a positive integer
+    combination of the others, so a low block's affine hull is a linear
+    subspace.  Generic subspaces whose codimensions sum to d meet only at the
+    origin."""
+    rng = SplitMix64(seed)
+    points, partition = [], []
+    for size in sizes:
+        spokes = [tuple(rng.randint(-99, 99) for _ in range(d)) for _ in range(size - 1)]
+        weights = [rng.randint(1, 3) for _ in spokes]
+        last = tuple(-sum(w * p[t] for w, p in zip(weights, spokes)) for t in range(d))
+        partition.append(tuple(range(len(points), len(points) + size)))
+        points += spokes + [last]
+    return PointConfiguration(d, len(sizes), tuple(points)), tuple(partition)
+
+
+@pytest.mark.parametrize(
+    "d,sizes",
+    [
+        (4, (4, 4, 4, 4)),  # four hyperplanes; 3x3 minors
+        pytest.param(5, (5, 5, 5, 4, 6), marks=pytest.mark.slow),  # 4x4 minors
+    ],
+    ids=["d4q4", "d5q5"],
+)
+def test_four_low_blocks_meet_at_the_origin(d, sizes):
+    config, partition = _blocks_around_origin(d, sizes, seed=1)
+    assert effective_general_position(config)
+    record = is_tverberg(partition, config)
+    assert record is not None
+    assert record.describe() == "II(4)"
+    assert record.point == (0,) * d
+    assert tverberg_records_oracle(config, [partition]) == [record.partition]

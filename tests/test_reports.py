@@ -1,0 +1,59 @@
+"""The byte gate: pinned CLI reports keep their exact bytes.
+
+Each case runs `cli.main` in-process and compares the sha256 of its stdout
+with the digest of the reference report.  A change that alters any of these
+reports on purpose records the old and new digests in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from tverlab import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PINNED = {
+    "count-d3-q3": (
+        ["count", "--d", "3", "--q", "3", "--samples", "3", "--seed", "7"],
+        "07b78bb882324fd86f17c644e482c270b05e65ea13097d24872b192bc2dcd63b",
+    ),
+    "count-d2-q4": (
+        ["count", "--d", "2", "--q", "4", "--samples", "2", "--seed", "7"],
+        "7addf3f9f421f32089772ba9d9c3e0b702a1671c28ace76a621d6b30679e96d0",
+    ),
+    "count-d1-q5": (
+        ["count", "--d", "1", "--q", "5", "--samples", "5", "--seed", "7"],
+        "29367459b86dc10e17df34879284be9eeb2cbf7fd4a29fb2b87ba235395c4939",
+    ),
+    "search-star2": (
+        ["search", "--q", "3", "--d", "2", "--graph", "star2", "--seed", "1"],
+        "a717558151ed5328889f21e9017bc0f772fc80ec7f1bca4c95e267e1378c403a",
+    ),
+    "constrain-single-edges": (
+        ["constrain", "--samples", "3", "--seed", "3"],
+        "4b770fedaf8e702591aae9395bde90b6ec715fb45eac345b18fb5acbd5507577",
+    ),
+}
+README_ENUMERATE = "47f9910644c0401316e5eefe22bf344798fd06719f5d150886a563b07f48d85d"
+
+
+def _digest(argv, capsys):
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_report_bytes(case, capsys):
+    argv, digest = PINNED[case]
+    assert _digest(argv, capsys) == digest
+
+
+def test_readme_enumerate_report_bytes(tmp_path, capsys):
+    # The configuration block under "Configuration files are exact and
+    # human-writable:" in README.md, classified by `enumerate --input`.
+    after = README.read_text().split("Configuration files are exact and human-writable:", 1)[1]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(after.split("```", 2)[1])
+    assert _digest(["enumerate", "--input", str(cfg)], capsys) == README_ENUMERATE
