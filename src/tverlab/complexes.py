@@ -18,6 +18,7 @@ E^i subcomplexes split them by the column of one row.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import ne
 
@@ -49,7 +50,7 @@ class SimplicialComplex:
         """A plain complex is its own single join factor."""
         return (self,)
 
-    @property
+    @cached_property
     def vertices(self):
         return frozenset(v for f in self.facets for v in f)
 

@@ -1,9 +1,15 @@
-"""Reduced simplicial homology via Smith normal form.
+"""Reduced simplicial homology over the integers, in three passes.
 
-Boundary matrices are assembled over the integers; unit pivots are
-eliminated first with a sparse Markowitz-style sweep (no coefficient
-growth), and whatever small residual remains goes through a classic dense
-Smith reduction.  Coefficients are the integers.
+1. Faces: the boundary matrices of the skeleton the computation reads,
+   the empty face (augmentation) included.
+2. Coreduction (Mrozek and Batko, "Coreduction homology algorithm", 2009):
+   a cell whose remaining boundary is a single face is removed together
+   with that face.  Entries stay +-1 and nothing fills in, and almost every
+   cell of a chessboard-type complex goes this way.
+3. Smith normal form of what is left in each dimension: unit pivots are
+   eliminated with a sparse Markowitz-style sweep (no coefficient growth),
+   and whatever small residual remains goes through a classic dense Smith
+   reduction, which finds the torsion.
 
 Only the skeleton a computation reads is built: homology through
 dimension k builds the faces of dimensions 0..k+1, one dimension at a time
@@ -13,6 +19,7 @@ variable) is refused, to keep desk-scale runs bounded.
 """
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -200,6 +207,53 @@ def boundary_matrices(K: SimplicialComplex, top):
     return by_dim, matrices
 
 
+def _coreduce(matrices):
+    """Remove coreduction pairs from the output of `boundary_matrices`, in
+    place; returns nothing.
+
+    A pair is a live cell b whose remaining boundary is exactly one live
+    face a; every entry is +-1, and no entry ever changes.  Removing both
+    leaves the homology as it was: b's column holds only that unit, so the
+    Schur complement of the pivot is the plain restriction, and by dd = 0
+    the row of b in the next matrix vanishes once a's row is cleared.  The
+    pass starts by pairing the empty face with vertex 0, then takes cells
+    first in, first out, each cell's cofaces in face-index order.
+    Afterwards matrices[i] holds only the live cells of dimension i, each
+    with its live faces, and the Smith form takes whatever is left.
+    """
+    cofaces = {}  # dim -> dim-1 face position -> its cofaces, in face-index order
+    for dim, cols in matrices.items():
+        lists = cofaces[dim] = [[] for _ in range(len(matrices[dim - 1]) if dim else 1)]
+        for b, col in cols.items():
+            for a in col:
+                lists[a].append(b)
+    queue = deque()
+
+    def remove(dim, cell):
+        """Drop a live cell; queue each coface left with one face."""
+        if dim >= 0:
+            del matrices[dim][cell]
+        if dim + 1 not in cofaces:
+            return
+        for c in cofaces[dim + 1][cell]:
+            boundary = matrices[dim + 1].get(c)
+            if boundary is not None:
+                del boundary[cell]
+                if len(boundary) == 1:
+                    queue.append((dim + 1, c))
+
+    remove(-1, 0)  # the empty face, paired with vertex 0
+    remove(0, 0)
+    while queue:
+        dim, b = queue.popleft()
+        boundary = matrices[dim].get(b)
+        if boundary is None or len(boundary) != 1:
+            continue
+        (a,) = boundary
+        remove(dim - 1, a)
+        remove(dim, b)
+
+
 @dataclass
 class HomologyProfile:
     """Reduced homology, one entry per dimension 0..min(up_to, dim K)."""
@@ -221,7 +275,8 @@ def reduced_homology(K: SimplicialComplex, up_to=None) -> HomologyProfile:
     if not K.facets:
         return HomologyProfile()
     top = K.dim if up_to is None else min(up_to, K.dim)
-    by_dim, matrices = boundary_matrices(K, top + 1)
+    matrices = boundary_matrices(K, top + 1)[1]
+    _coreduce(matrices)
     rank = {}
     torsion_from = {}
     for dim, cols in matrices.items():
@@ -229,7 +284,7 @@ def reduced_homology(K: SimplicialComplex, up_to=None) -> HomologyProfile:
 
     profile = HomologyProfile()
     for i in range(0, top + 1):
-        profile.betti[i] = len(by_dim[i]) - rank[i] - rank.get(i + 1, 0)
+        profile.betti[i] = len(matrices[i]) - rank[i] - rank.get(i + 1, 0)
         profile.torsion[i] = torsion_from.get(i + 1, [])
     return profile
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from tverlab.complexes import (
 )
 from tverlab.errors import BudgetExceeded
 from tverlab.homology import (
+    _coreduce,
     boundary_matrices,
     homology_vanishes_through,
     reduced_homology,
@@ -129,14 +131,16 @@ def test_c_d_e_connectivity_spot_checks():
     assert homology_vanishes_through(complex_E(4, 5), 2)
 
 
+# minimal 6-vertex triangulation of RP^2; over the integers its H_1 is
+# pure torsion Z_2
+RP2 = SimplicialComplex([
+    {0, 1, 2}, {0, 2, 3}, {0, 1, 5}, {0, 3, 4}, {0, 4, 5},
+    {1, 2, 4}, {1, 3, 4}, {1, 3, 5}, {2, 3, 5}, {2, 4, 5},
+])
+
+
 def test_projective_plane_distinguishes_coefficients():
-    # minimal 6-vertex triangulation of RP^2; over the integers its H_1 is
-    # pure torsion Z_2
-    facets = [
-        {0, 1, 2}, {0, 2, 3}, {0, 1, 5}, {0, 3, 4}, {0, 4, 5},
-        {1, 2, 4}, {1, 3, 4}, {1, 3, 5}, {2, 3, 5}, {2, 4, 5},
-    ]
-    K = SimplicialComplex(facets)
+    K = RP2
     integral = reduced_homology(K)
     assert integral.betti == {0: 0, 1: 0, 2: 0}
     assert integral.torsion[1] == [2]
@@ -173,3 +177,103 @@ def test_face_budget_env_override(monkeypatch):
     from tverlab.homology import face_budget
 
     assert face_budget() == 1000000
+
+
+# ---------------------------------------------------------------------------
+# Coreduction against the full-matrix reference
+
+
+def _reference_homology(K):
+    """(betti, torsion) from `smith_invariants` straight on every full
+    boundary matrix, with no coreduction."""
+    by_dim, matrices = boundary_matrices(K, K.dim)
+    invariants = {dim: smith_invariants(cols) for dim, cols in matrices.items()}
+    none = (0, [])
+    betti = {
+        i: len(by_dim[i]) - invariants[i][0] - invariants.get(i + 1, none)[0]
+        for i in range(K.dim + 1)
+    }
+    torsion = {i: invariants.get(i + 1, none)[1] for i in range(K.dim + 1)}
+    return betti, torsion
+
+
+def _lemma_complexes():
+    return (
+        [complex_C(l, 5) for l in (1, 2, 3)]
+        + [complex_D(l, q) for q in (4, 5) for l in range(1, 5)]
+        + [complex_E(l, 5) for l in (3, 4, 5)]
+    )
+
+
+def _random_complex(seed):
+    """A small seeded complex; every third one is joined with RP^2 or
+    coned and every third one gets a disjoint RP^2, so torsion, cones and
+    several components all occur."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    facets = [
+        frozenset(rng.sample(range(n), rng.randint(1, 4))) for _ in range(rng.randint(1, 9))
+    ]
+    K = SimplicialComplex(facets)
+    if seed % 3 == 1:
+        extra = RP2 if seed % 2 else SimplicialComplex([{-1}])
+        K = join(K, _relabel(extra, 100))
+    elif seed % 3 == 2:
+        K = SimplicialComplex(set(K.facets) | set(_relabel(RP2, 100).facets))
+    return K
+
+
+CHESSBOARDS = [(m, n) for m in range(1, 6) for n in range(m, 6)]
+
+
+@pytest.mark.parametrize("m,n", CHESSBOARDS)
+def test_coreduction_matches_reference_on_chessboards(m, n):
+    K = chessboard(m, n)
+    profile = reduced_homology(K)
+    assert (profile.betti, profile.torsion) == _reference_homology(K)
+
+
+def test_coreduction_matches_reference_on_lemma_complexes_and_rp2():
+    for K in _lemma_complexes() + [RP2]:
+        profile = reduced_homology(K)
+        assert (profile.betti, profile.torsion) == _reference_homology(K)
+
+
+def test_coreduction_matches_reference_on_random_complexes():
+    with_torsion = 0
+    for seed in range(50):
+        K = _random_complex(seed)
+        profile = reduced_homology(K)
+        assert (profile.betti, profile.torsion) == _reference_homology(K), seed
+        with_torsion += any(profile.torsion.values())
+    assert with_torsion >= 10
+
+
+def test_chessboard_torsion_shareshian_wachs():
+    # 3-torsion in H_{nu-1} of the chessboard complex (Shareshian and
+    # Wachs, Adv. Math. 2007)
+    five = reduced_homology(chessboard(5, 5))
+    assert five.betti == {0: 0, 1: 0, 2: 0, 3: 56, 4: 0}
+    assert five.torsion == {0: [], 1: [], 2: [3], 3: [], 4: []}
+    six = reduced_homology(chessboard(6, 6))
+    assert six.betti == {0: 0, 1: 0, 2: 0, 3: 25, 4: 210, 5: 0}
+    assert six.torsion == {0: [], 1: [], 2: [], 3: [3] * 10, 4: [], 5: []}
+
+
+@pytest.mark.parametrize("K,dim,factor", [(RP2, 1, 2), (chessboard(5, 5), 2, 3)])
+def test_coreduction_leaves_torsion_to_smith(K, dim, factor):
+    _by_dim, matrices = boundary_matrices(K, K.dim)
+    _coreduce(matrices)
+    # coreduction keeps every entry +-1, so it cannot finish a torsion case
+    assert any(matrices[dim + 1].values())
+    assert all(v in (1, -1) for cols in matrices.values() for col in cols.values() for v in col.values())
+    assert reduced_homology(K).torsion[dim] == [factor]
+
+
+def test_coreduction_clears_the_chessboard_below_its_top():
+    # chessboard(6, 6): nu = 4, so the campaign reads dimensions 0..3; every
+    # cell below dimension 3 is paired off before the Smith form
+    by_dim, matrices = boundary_matrices(chessboard(6, 6), 3)
+    _coreduce(matrices)
+    assert [len(matrices[dim]) for dim in range(3)] == [0, 0, 0]
+    assert len(matrices[3]) < len(by_dim[3])

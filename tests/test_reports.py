@@ -35,6 +35,14 @@ PINNED = {
         ["constrain", "--samples", "3", "--seed", "3"],
         "4b770fedaf8e702591aae9395bde90b6ec715fb45eac345b18fb5acbd5507577",
     ),
+    "complex-chessboard-6": (
+        ["complex", "--check", "chessboard", "--max", "6"],
+        "489cbcd84c203575cf76f60e7600a80f98d2e3710a8dcdf8433dae7c10335a2e",
+    ),
+    "complex-lemmas": (
+        ["complex", "--check", "lemmas"],
+        "d12e72a4290feef79b5d3c0eb6930a0b3b7f57d89a6b0b28759a6c2939f77785",
+    ),
 }
 README_ENUMERATE = "47f9910644c0401316e5eefe22bf344798fd06719f5d150886a563b07f48d85d"
 
