@@ -28,8 +28,8 @@ A `PointConfiguration` computes one table, once, and caches it: the integer
 determinant of the homogeneous coordinates (1, L*p) of every sorted
 (d+1)-subset of labels, L clearing every denominator of the configuration.
 Its signs are the orientations (the chirotope); effective general position
-means no entry is zero, and its check stops at the first zero it computes.
-The Tverberg classifier reads every sign it needs from the table.
+means no entry is zero, and the Tverberg classifier reads every sign it
+needs from the table.
 """
 
 from fractions import Fraction
@@ -171,33 +171,19 @@ class PointConfiguration:
         point given as a positive combination of labels is tested against a
         simplex with sums of these entries (see `tverberg`).
         """
-        return dict(self._determinant_entries())
-
-    def _determinant_entries(self):
-        """(labels, determinant) pairs of the table, in its order."""
         d = self.d
         pts = self.cleared[1]
+        table = {}
         for labels in combinations(range(self.n), d + 1):
             p0, *rest = (pts[i] for i in labels)
-            yield labels, det([[p[j] - p0[j] for j in range(d)] for p in rest])
+            table[labels] = det([[p[j] - p0[j] for j in range(d)] for p in rest])
+        return table
 
 
 def effective_general_position(config: PointConfiguration) -> bool:
     """True iff every (d+1)-subset of the points is affinely independent,
-    read off the configuration's determinant table.
-
-    Without a cached table the entries are computed in table order and the
-    first zero ends the check; a configuration that passes keeps the
-    complete table as its `determinants`."""
-    if "determinants" in vars(config):
-        return all(config.determinants.values())
-    table = {}
-    for labels, value in config._determinant_entries():
-        if not value:
-            return False
-        table[labels] = value
-    vars(config)["determinants"] = table  # the cached_property's own slot
-    return True
+    read off the configuration's determinant table."""
+    return all(config.determinants.values())
 
 
 def points_in_general_position(points, d) -> bool:
