@@ -43,6 +43,10 @@ PINNED = {
         ["complex", "--check", "lemmas"],
         "d12e72a4290feef79b5d3c0eb6930a0b3b7f57d89a6b0b28759a6c2939f77785",
     ),
+    "complex-goodness": (
+        ["complex", "--check", "goodness"],
+        "b0ce1751a623cc6586b93b2d9924f84a97ad14029980ee1d93ed8618fbb37cf1",
+    ),
 }
 README_ENUMERATE = "47f9910644c0401316e5eefe22bf344798fd06719f5d150886a563b07f48d85d"
 
