@@ -279,20 +279,30 @@ def regular_prime_power_action(q) -> GroupAction:
     return GroupAction(q, tuple(gens))
 
 
-def _apply(g, facet):
-    try:
-        return frozenset((row, g[col - 1]) for row, col in facet)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise LabelFormat("vertices must be (row, column) pairs") from exc
+def _check_columns(vertices, q):
+    """LabelFormat unless every vertex is a (row, column) pair whose column
+    lies in 1..q."""
+    for v in vertices:
+        try:
+            _row, col = v
+        except (TypeError, ValueError) as exc:
+            raise LabelFormat("vertices must be (row, column) pairs") from exc
+        if not isinstance(col, int) or not 1 <= col <= q:
+            raise LabelFormat(f"vertex {v!r} has a column outside 1..{q}")
 
 
 def invariance_check(K, action: GroupAction) -> bool:
-    """True iff every generator maps each factor's facet set onto itself."""
-    return all(
-        frozenset(_apply(g, f) for f in factor.facets) == factor.facets
-        for factor in K.factors
-        for g in action.generators
-    )
+    """True iff every generator maps each factor's facet set onto itself.
+
+    The image of the facet set must equal it, not merely lie inside it:
+    nothing makes a generator a permutation."""
+    for factor in K.factors:
+        _check_columns(factor.vertices, action.q)
+        for g in action.generators:
+            image = {(row, col): (row, g[col - 1]) for row, col in factor.vertices}
+            if {frozenset(map(image.__getitem__, f)) for f in factor.facets} != factor.facets:
+                return False
+    return True
 
 
 def goodness_check(K, constrained_row_pairs) -> bool:
@@ -300,8 +310,9 @@ def goodness_check(K, constrained_row_pairs) -> bool:
     same column (no 'vertical edge' for those pairs).
 
     Facets combine freely across join factors, so a pair split across two
-    factors is violated iff its rows share a column; the pairs inside one
-    factor are checked in one scan of that factor's facets.
+    factors is violated iff its rows share a column; for the pairs inside
+    one factor, each vertical edge {(r1, c), (r2, c)} that the factor's
+    vertices allow is looked for in one scan of its facets.
     """
     factor_of = {}  # row -> index of the factor holding it
     cols_of = {}  # row -> columns used by some vertex of that row
@@ -313,24 +324,21 @@ def goodness_check(K, constrained_row_pairs) -> bool:
                 raise LabelFormat("vertices must be (row, column) pairs") from exc
             factor_of[row] = idx
             cols_of.setdefault(row, set()).add(col)
-    inner = {}  # factor index -> constrained pairs inside it
+    inner = {}  # factor index -> vertical edges inside it
     for r1, r2 in constrained_row_pairs:
         if r1 not in factor_of or r2 not in factor_of:
             continue  # a row absent from the complex cannot be violated
+        shared = cols_of[r1] & cols_of[r2]
         if factor_of[r1] != factor_of[r2]:
-            if cols_of[r1] & cols_of[r2]:
+            if shared:
                 return False
         else:
-            inner.setdefault(factor_of[r1], []).append((r1, r2))
-    for idx, pairs in inner.items():
-        for f in K.factors[idx].facets:
-            rows_at = {}
-            for row, col in f:
-                rows_at.setdefault(col, set()).add(row)
-            for rows in rows_at.values():
-                if any(r1 in rows and r2 in rows for r1, r2 in pairs):
-                    return False
-    return True
+            inner.setdefault(factor_of[r1], []).extend({(r1, c), (r2, c)} for c in shared)
+    return not any(
+        any(map(edge.issubset, K.factors[idx].facets))
+        for idx, edges in inner.items()
+        for edge in edges
+    )
 
 
 def vertex_orbit_sizes(K, action: GroupAction):
@@ -340,6 +348,7 @@ def vertex_orbit_sizes(K, action: GroupAction):
     sizes = []
     for factor in K.factors:
         verts = factor.vertices
+        _check_columns(verts, action.q)
         seen = set()
         for v in sorted(verts):
             if v in seen:

@@ -265,34 +265,66 @@ def _admissible_specs(q, d):
     return [spec for spec in candidates if family_admissible(spec, q, d)]
 
 
+def _goodness_rows(q):
+    """The goodness campaign's report rows at q, for d = 1 and then d = 2.
+
+    A good subcomplex joins family parts and free rows, and its factors at
+    d = 1 are its factors at d = 2 that lie below row 2(q-1)+1.  So each
+    spec is built once, at the largest d that admits it, and each distinct
+    factor is checked once per q; only its verdicts are kept.  A row passes
+    a check iff each of its factors does; constrained pairs across two
+    factors go through `goodness_check` on the whole complex, which tests
+    them by column sets alone."""
+    action = regular_prime_power_action(q)
+    n = {d: (d + 1) * (q - 1) + 1 for d in (1, 2)}
+    specs = {
+        d: [
+            spec
+            for spec in _admissible_specs(q, d)
+            if all(p.facet_count(q) <= FACTOR_FACET_BUDGET for p in spec.parts)
+        ]
+        for d in (1, 2)
+    }
+    verdicts = {}  # (part, or None for a free row; its rows) -> (good, invariant, orbits_ok)
+    rows = {}
+    for spec in dict.fromkeys(specs[1] + specs[2]):
+        ds = [d for d in (1, 2) if spec in specs[d]]
+        L = good_subcomplex(spec, q, ds[-1])
+        edges = instantiate(spec, n[ds[-1]]).edges
+        factor_of = {}  # row -> index of its factor in L.factors
+        keys = []
+        parts = list(spec.parts) + [None] * (len(L.factors) - len(spec.parts))
+        for idx, (part, factor) in enumerate(zip(parts, L.factors)):
+            factor_rows = frozenset(row for row, _ in factor.vertices)
+            factor_of.update(dict.fromkeys(factor_rows, idx))
+            key = (part, factor_rows)
+            if key not in verdicts:
+                pairs = [e for e in edges if factor_rows.issuperset(e)]
+                verdicts[key] = (
+                    goodness_check(factor, pairs),
+                    invariance_check(factor, action),
+                    all(s == q for s in vertex_orbit_sizes(factor, action)),
+                )
+            keys.append(key)
+        across = [(r1, r2) for r1, r2 in edges if factor_of[r1] != factor_of[r2]]
+        across_ok = goodness_check(L, across)
+        for d in ds:
+            checks = [verdicts[key] for key in keys if max(key[1]) < n[d]]
+            rows[d, spec] = {
+                "q": q,
+                "d": d,
+                "spec": repr(spec),
+                "good": across_ok and all(c[0] for c in checks),
+                "invariant": all(c[1] for c in checks),
+                "orbits_ok": all(c[2] for c in checks),
+            }
+    return [rows[d, spec] for d in (1, 2) for spec in specs[d]]
+
+
 def goodness_invariance_campaign():
     """Every admissible family's good subcomplex is good, invariant under
     the regular prime-power column action, and has only size-q vertex
     orbits (checked factor-wise; family sizes capped by a facet budget)."""
-    results = []
-    ok = True
-    for q in (3, 4, 5):
-        action = regular_prime_power_action(q)
-        for d in (1, 2):
-            n = (d + 1) * (q - 1) + 1
-            for spec in _admissible_specs(q, d):
-                if any(p.facet_count(q) > FACTOR_FACET_BUDGET for p in spec.parts):
-                    continue
-                L = good_subcomplex(spec, q, d)
-                good = goodness_check(L, instantiate(spec, n).edges)
-                invariant = invariance_check(L, action)
-                orbits = vertex_orbit_sizes(L, action)
-                orbits_ok = all(s == q for s in orbits)
-                passed = good and invariant and orbits_ok
-                ok = ok and passed
-                results.append(
-                    {
-                        "q": q,
-                        "d": d,
-                        "spec": repr(spec),
-                        "good": good,
-                        "invariant": invariant,
-                        "orbits_ok": orbits_ok,
-                    }
-                )
+    results = [row for q in (3, 4, 5) for row in _goodness_rows(q)]
+    ok = all(r["good"] and r["invariant"] and r["orbits_ok"] for r in results)
     return {"ok": ok, "results": results}

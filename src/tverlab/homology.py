@@ -179,16 +179,20 @@ def boundary_matrices(K: SimplicialComplex, top):
     """Sparse boundary matrices of the reduced chain complex in dimensions
     0..min(top, dim K).
 
-    Each dimension's faces are built from the facets as sorted vertex
-    tuples, listed in sorted order, and indexed only against the dimension
-    below.  The faces built so far are checked against the face budget
-    before each dimension's matrix is built.  Returns (by_dim, matrices)
-    where by_dim[i] lists the dimension-i faces and matrices[i] maps them
-    (columns) to their dimension-(i-1) boundary; matrices[0] is the
-    augmentation into the empty face.
+    Each vertex is replaced by its rank, its position in sorted(K.vertices);
+    ranks keep the order of the vertices, so listing faces as sorted rank
+    tuples keeps the order and the matrices that sorted vertex tuples give.
+    Each dimension's faces are built from the facets, listed in sorted
+    order, and indexed only against the dimension below.  The faces built
+    so far are checked against the face budget before each dimension's
+    matrix is built.  Returns (by_dim, matrices) where by_dim[i] lists the
+    dimension-i faces as rank tuples and matrices[i] maps them (columns) to
+    their dimension-(i-1) boundary; matrices[0] is the augmentation into
+    the empty face.
     """
     budget = face_budget()
-    facets = [tuple(sorted(f)) for f in K.facets]
+    rank = {v: i for i, v in enumerate(sorted(K.vertices))}
+    facets = [sorted(map(rank.__getitem__, f)) for f in K.facets]
     by_dim, matrices = {}, {}
     index = {(): 0}  # the empty face, target of the augmentation
     built = 0
@@ -198,8 +202,10 @@ def boundary_matrices(K: SimplicialComplex, top):
         if built > budget:
             raise BudgetExceeded(f"{built} faces exceed the budget {budget}")
         faces = sorted(faces)
+        # combinations drops the last vertex first: signs (-1)^dim .. (-1)^0
+        signs = [(-1) ** j for j in range(dim, -1, -1)]
         matrices[dim] = {
-            pos: {index[f[:j] + f[j + 1 :]]: (-1) ** j for j in range(dim + 1)}
+            pos: dict(zip(map(index.__getitem__, combinations(f, dim)), signs))
             for pos, f in enumerate(faces)
         }
         by_dim[dim] = faces

@@ -1,9 +1,13 @@
 import functools
 import math
+import random
 
 import pytest
 
+from tverlab import drivers
+
 from tverlab.complexes import (
+    GroupAction,
     JoinComplex,
     SimplicialComplex,
     assignment_complex,
@@ -26,8 +30,8 @@ from tverlab.complexes import (
     verify_intersection_identities,
     vertex_orbit_sizes,
 )
-from tverlab.constraints import CompleteK, DisjointUnion, Star
-from tverlab.errors import InvalidParameters, LabelCollision
+from tverlab.constraints import CompleteK, DisjointUnion, Star, instantiate
+from tverlab.errors import InvalidParameters, LabelCollision, LabelFormat
 
 
 def test_facets_form_antichain():
@@ -151,6 +155,14 @@ def test_invariance_fails_for_broken_orbit():
     assert not invariance_check(SimplicialComplex(facets), regular_prime_power_action(3))
 
 
+def test_invariance_needs_the_images_to_be_all_facets():
+    # a generator that is not a permutation maps every facet to a facet,
+    # but not the facet set onto itself
+    K = SimplicialComplex([{(0, 1)}, {(0, 2)}, {(0, 3)}])
+    assert not invariance_check(K, GroupAction(3, ((1, 1, 3),)))
+    assert invariance_check(K, GroupAction(3, ((2, 3, 1),)))
+
+
 def test_goodness_chessboard_rows():
     assert goodness_check(chessboard_on([0, 1], 4), [(0, 1)])
 
@@ -219,3 +231,226 @@ def test_intersection_identities_3_5():
 def test_intersection_identities_5_5():
     report = verify_intersection_identities(5, 5)
     assert report["ok"]
+
+
+# ---------------------------------------------------------------------------
+# Label errors of the three checks
+
+
+@pytest.mark.parametrize("vertex", [7, ("a",), (0, 1, 2)])
+def test_checks_refuse_non_pair_vertices(vertex):
+    K = SimplicialComplex([{vertex, (1, 1)}])
+    action = regular_prime_power_action(3)
+    with pytest.raises(LabelFormat):
+        goodness_check(K, [(0, 1)])
+    with pytest.raises(LabelFormat):
+        invariance_check(K, action)
+    with pytest.raises(LabelFormat):
+        vertex_orbit_sizes(K, action)
+
+
+@pytest.mark.parametrize("col", [0, -1, 4, "1"])
+def test_action_checks_refuse_columns_outside_1_to_q(col):
+    # column 0 would otherwise wrap round to the generator's last entry
+    K = SimplicialComplex([{(0, col), (1, 1)}])
+    action = regular_prime_power_action(3)
+    with pytest.raises(LabelFormat):
+        invariance_check(K, action)
+    with pytest.raises(LabelFormat):
+        vertex_orbit_sizes(K, action)
+
+
+# ---------------------------------------------------------------------------
+# The goodness and invariance checks against plain references
+
+
+def _goodness_reference(K, constrained_row_pairs):
+    """Goodness by grouping each facet's rows by column, facet by facet."""
+    factor_of, cols_of = {}, {}
+    for idx, factor in enumerate(K.factors):
+        for row, col in factor.vertices:
+            factor_of[row] = idx
+            cols_of.setdefault(row, set()).add(col)
+    inner = {}
+    for r1, r2 in constrained_row_pairs:
+        if r1 not in factor_of or r2 not in factor_of:
+            continue
+        if factor_of[r1] != factor_of[r2]:
+            if cols_of[r1] & cols_of[r2]:
+                return False
+        else:
+            inner.setdefault(factor_of[r1], []).append((r1, r2))
+    for idx, pairs in inner.items():
+        for f in K.factors[idx].facets:
+            rows_at = {}
+            for row, col in f:
+                rows_at.setdefault(col, set()).add(row)
+            for rows in rows_at.values():
+                if any(r1 in rows and r2 in rows for r1, r2 in pairs):
+                    return False
+    return True
+
+
+def _invariance_reference(K, action):
+    """Invariance by moving each facet's vertices one at a time."""
+    return all(
+        frozenset(frozenset((row, g[col - 1]) for row, col in f) for f in factor.facets)
+        == factor.facets
+        for factor in K.factors
+        for g in action.generators
+    )
+
+
+def _random_assignments(rng, rows, q):
+    """Seeded facets on `rows`: partial assignments, a few with two
+    columns in one row."""
+    facets = []
+    for _ in range(rng.randint(1, 6)):
+        chosen = rng.sample(rows, rng.randint(1, len(rows)))
+        facet = {(row, rng.randint(1, q)) for row in chosen}
+        if rng.random() < 0.2:
+            facet.add((chosen[0], rng.randint(1, q)))
+        facets.append(facet)
+    return facets
+
+
+def _orbit_closure(facets, action):
+    closed = {frozenset(f) for f in facets}
+    for g in action.elements():
+        closed |= {frozenset((row, g[col - 1]) for row, col in f) for f in facets}
+    return closed
+
+
+def _random_case(seed):
+    """A seeded complex with q in 3..5, constrained pairs, and its action.
+
+    Seeds cycle through: a plain random complex; one with a vertical edge
+    planted on a constrained pair; an orbit closure (invariant); the same
+    closure with one facet removed (a broken orbit); and a JoinComplex
+    whose two factors share a column on a constrained pair."""
+    rng = random.Random(seed)
+    q = rng.choice((3, 4, 5))
+    action = regular_prime_power_action(q)
+    rows = list(range(rng.randint(2, 5)))
+    pairs = [tuple(rng.sample(rows, 2)) for _ in range(rng.randint(1, 3))]
+    facets = _random_assignments(rng, rows, q)
+    kind = seed % 5
+    if kind == 1:
+        r1, r2 = pairs[0]
+        c = rng.randint(1, q)
+        facets.append({(r1, c), (r2, c)} | {(r, rng.randint(1, q)) for r in rows[:1]})
+    elif kind in (2, 3):
+        facets = _orbit_closure(facets, action)
+        if kind == 3:
+            facets = set(SimplicialComplex(facets).facets)
+            facets.discard(rng.choice(sorted(facets, key=sorted)))
+    if kind == 4:
+        cut = rng.randint(1, len(rows) - 1)
+        left = SimplicialComplex(_random_assignments(rng, rows[:cut], q))
+        right = SimplicialComplex(_random_assignments(rng, rows[cut:], q))
+        pairs.append((rows[0], rows[-1]))
+        return JoinComplex([left, right]), pairs, action
+    return SimplicialComplex(facets), pairs, action
+
+
+def test_goodness_and_invariance_match_the_references_on_random_complexes():
+    seen = set()
+    for seed in range(400):
+        K, pairs, action = _random_case(seed)
+        good = goodness_check(K, pairs)
+        invariant = invariance_check(K, action)
+        assert good == _goodness_reference(K, pairs), seed
+        assert invariant == _invariance_reference(K, action), seed
+        seen.add((seed % 5, good, invariant))
+    # both verdicts occur wherever they can; a planted vertical edge is never good
+    for kind in (0, 2, 3, 4):
+        assert {good for k, good, _ in seen if k == kind} == {True, False}, kind
+    assert {good for k, good, _ in seen if k == 1} == {False}
+    assert {inv for k, _, inv in seen if k == 2} == {True}
+    assert {inv for k, _, inv in seen if k == 3} == {False}
+
+
+def test_goodness_finds_a_column_shared_across_join_factors():
+    L = JoinComplex([chessboard_on([0, 1], 3), SimplicialComplex([{(2, 3)}])])
+    assert not goodness_check(L, [(1, 2)])
+    assert goodness_check(L, [(0, 1)])
+    M = JoinComplex([chessboard_on([0, 1], 2), SimplicialComplex([{(2, 3)}])])
+    assert goodness_check(M, [(0, 1), (1, 2), (0, 2)])
+
+
+# ---------------------------------------------------------------------------
+# The goodness campaign against the checks on whole complexes
+
+
+def _within_budget(spec, q):
+    return all(p.facet_count(q) <= drivers.FACTOR_FACET_BUDGET for p in spec.parts)
+
+
+def _rows_on_whole_complexes(q, invariance=invariance_check, goodness=goodness_check):
+    """The goodness campaign's rows, each from the three checks run on the
+    whole good subcomplex."""
+    action = regular_prime_power_action(q)
+    rows = []
+    for d in (1, 2):
+        n = (d + 1) * (q - 1) + 1
+        for spec in drivers._admissible_specs(q, d):
+            if not _within_budget(spec, q):
+                continue
+            L = good_subcomplex(spec, q, d)
+            rows.append(
+                {
+                    "q": q,
+                    "d": d,
+                    "spec": repr(spec),
+                    "good": goodness(L, instantiate(spec, n).edges),
+                    "invariant": invariance(L, action),
+                    "orbits_ok": all(s == q for s in vertex_orbit_sizes(L, action)),
+                }
+            )
+    return rows
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_goodness_rows_match_the_checks_on_whole_complexes(q):
+    assert drivers._goodness_rows(q) == _rows_on_whole_complexes(q)
+
+
+def test_goodness_rows_at_d1_read_only_their_own_rows(monkeypatch):
+    # a check that fails on the first row d = 1 does not have: the d = 1
+    # rows must still pass, and every d = 2 row must fail
+    q = 3
+    extra = 2 * (q - 1) + 1
+
+    def invariance(K, action):
+        return invariance_check(K, action) and all(row != extra for row, _ in K.vertices)
+
+    monkeypatch.setattr(drivers, "invariance_check", invariance)
+    rows = drivers._goodness_rows(q)
+    assert rows == _rows_on_whole_complexes(q, invariance)
+    assert {r["invariant"] for r in rows if r["d"] == 1} == {True}
+    assert {r["invariant"] for r in rows if r["d"] == 2} == {False}
+
+
+def test_goodness_rows_check_the_whole_complex_for_pairs_across_factors(monkeypatch):
+    # no campaign spec has a pair across two factors, so a goodness check
+    # that fails every whole complex shows that the campaign still asks it
+    def goodness(K, pairs):
+        return not isinstance(K, JoinComplex) and goodness_check(K, pairs)
+
+    monkeypatch.setattr(drivers, "goodness_check", goodness)
+    rows = drivers._goodness_rows(3)
+    assert rows == _rows_on_whole_complexes(3, goodness=goodness)
+    assert {r["good"] for r in rows} == {False}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_good_subcomplex_at_d1_is_its_d2_factors_on_the_lower_rows(q):
+    # the campaign builds each spec once, at d = 2, and reads d = 1 from it
+    n1 = 2 * (q - 1) + 1
+    for spec in drivers._admissible_specs(q, 1):
+        if not _within_budget(spec, q):
+            continue
+        assert spec in drivers._admissible_specs(q, 2)
+        wide = good_subcomplex(spec, q, 2).factors
+        lower = [F for F in wide if max(row for row, _ in F.vertices) < n1]
+        assert lower == good_subcomplex(spec, q, 1).factors

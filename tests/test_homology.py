@@ -172,6 +172,41 @@ def test_boundary_matrices_build_only_the_skeleton():
     assert boundary_matrices(triangle, 5)[0].keys() == {0, 1, 2}
 
 
+def test_boundary_matrices_list_faces_as_vertex_ranks():
+    # chessboard(2, 2) is two disjoint edges on tuple labels; the ranks are
+    # the positions in sorted order: (0,1) -> 0, (0,2) -> 1, (1,1) -> 2, (1,2) -> 3
+    by_dim, matrices = boundary_matrices(chessboard(2, 2), 1)
+    assert by_dim == {0: [(0,), (1,), (2,), (3,)], 1: [(0, 3), (1, 2)]}
+    assert matrices[0] == {0: {0: 1}, 1: {0: 1}, 2: {0: 1}, 3: {0: 1}}
+    assert matrices[1] == {0: {0: -1, 3: 1}, 1: {1: -1, 2: 1}}
+
+
+def _vertex_tuple_boundaries(K, top):
+    """Faces as sorted vertex tuples, each face's boundary by slicing."""
+    facets = [tuple(sorted(f)) for f in K.facets]
+    by_dim, matrices, index = {}, {}, {(): 0}
+    for dim in range(min(top, K.dim) + 1):
+        faces = sorted({s for f in facets for s in combinations(f, dim + 1)})
+        matrices[dim] = {
+            pos: {index[f[:j] + f[j + 1 :]]: (-1) ** j for j in range(dim + 1)}
+            for pos, f in enumerate(faces)
+        }
+        by_dim[dim] = faces
+        index = {f: pos for pos, f in enumerate(faces)}
+    return by_dim, matrices
+
+
+def test_boundary_matrices_on_ranks_match_vertex_tuples():
+    K = chessboard(4, 5)
+    by_dim, matrices = boundary_matrices(K, 3)
+    ref_by_dim, ref_matrices = _vertex_tuple_boundaries(K, 3)
+    assert matrices == ref_matrices
+    vertices = sorted(K.vertices)
+    assert {
+        dim: [tuple(vertices[i] for i in face) for face in faces] for dim, faces in by_dim.items()
+    } == ref_by_dim
+
+
 def test_face_budget_env_override(monkeypatch):
     monkeypatch.setenv("TVERBERG_FACE_BUDGET", "1000000")
     from tverlab.homology import face_budget
