@@ -43,6 +43,10 @@ PINNED = {
         ["complex", "--check", "lemmas"],
         "d12e72a4290feef79b5d3c0eb6930a0b3b7f57d89a6b0b28759a6c2939f77785",
     ),
+    "complex-identities": (
+        ["complex", "--check", "identities"],
+        "46e3b9090fc4248f9a3d27c5d557c70a82a92be3c17a1ff8d4176dff9ca033e1",
+    ),
     "complex-goodness": (
         ["complex", "--check", "goodness"],
         "b0ce1751a623cc6586b93b2d9924f84a97ad14029980ee1d93ed8618fbb37cf1",
