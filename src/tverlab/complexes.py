@@ -5,23 +5,21 @@ integer rows and columns 1..q; a face assigns each of its rows one column.
 The full configuration space on rows 0..N is the q-fold pairwise deleted
 join of the N-simplex: every partial assignment of rows to columns.
 
-Named subcomplexes (rows are listed first-to-last):
-
-  * chessboard(m, n): partial assignments that are injective on columns;
-  * complex_C(l, q): no column shared between the apex row and a leaf row;
-  * complex_D(l, q): consecutive rows use distinct columns;
-  * complex_E(l, q): complex_D's rule plus first row != last row.
-
-C, D and E (and the full assignment complex) are built by one ruled builder
-from their rule on column tuples; their decompositions into cones and D^k,
-E^i subcomplexes split them by the column of one row.
+The good complex of a constraint graph keeps the assignments that put the
+two ends of every edge in different columns: its facets are the graph's
+proper q-colorings, all built by coloring_complex(rows, q, edges).  So are
+complex_C, complex_D and complex_E (the star K_{1,l}, path P_l and cycle C_l
+on rows listed first-to-last); their decompositions into cones and D^k, E^i
+subcomplexes split them by the column of one row.  chessboard(m, n), the
+partial assignments injective on columns, is not: with more rows than
+columns its facets are not colorings.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
-from operator import ne
+from itertools import combinations, permutations
 
+from .constraints import Cycle, Path, Star, family_admissible
 from .errors import InvalidParameters, LabelCollision, LabelFormat
 from .tverberg import prime_power
 
@@ -32,17 +30,14 @@ class SimplicialComplex:
     def __init__(self, facets):
         fs = {frozenset(f) for f in facets}
         fs.discard(frozenset())
-        by_size = {}
-        for f in fs:
-            by_size.setdefault(len(f), []).append(f)
-        maximal = set()
-        sizes = sorted(by_size, reverse=True)
-        for idx, size in enumerate(sizes):
-            bigger = [g for s in sizes[:idx] for g in by_size[s]]
-            for f in by_size[size]:
-                if not any(f < g for g in bigger):
-                    maximal.add(f)
-        self.facets = frozenset(maximal)
+        # largest first, a facet is maximal iff no facet kept before holds it
+        kept = []
+        for f in sorted(fs, key=len, reverse=True):
+            if kept and len(f) < len(kept[0]) and any(map(f.__lt__, kept)):
+                fs.remove(f)
+            else:
+                kept.append(f)
+        self.facets = frozenset(fs)
         self._faces = None
 
     @property
@@ -92,27 +87,27 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(f1 | f2 for f1 in k1.facets for f2 in k2.facets)
 
 
-def _ruled_complex(rows, q, keep) -> SimplicialComplex:
-    """Assignments of `rows` (in order) to columns 1..q whose column tuple
-    passes `keep`."""
+def coloring_complex(rows, q, edges) -> SimplicialComplex:
+    """The proper q-colorings of the graph `edges` on `rows`: assignments of
+    the rows to columns 1..q that put the ends of every edge in different
+    columns.  Each row in turn skips the columns of its earlier neighbours,
+    so only facets are built."""
     rows = list(rows)
-    return SimplicialComplex(
-        frozenset(zip(rows, cols))
-        for cols in product(range(1, q + 1), repeat=len(rows))
-        if keep(cols)
-    )
-
-
-def _apex_apart(cols):
-    return cols[0] not in cols[1:]
-
-
-def _walk(cols):
-    return all(map(ne, cols, cols[1:]))
-
-
-def _closed_walk(cols):
-    return cols[0] != cols[-1] and _walk(cols)
+    position = {row: i for i, row in enumerate(rows)}
+    if len(position) != len(rows):
+        raise InvalidParameters(f"repeated row in {rows!r}")
+    earlier = [[] for _ in rows]  # position -> positions of earlier neighbours
+    for a, b in edges:
+        i, j = sorted((position[a], position[b]))
+        earlier[j].append(i)
+    colorings = [()]
+    for neighbours in earlier:
+        grown = []
+        for cols in colorings:
+            used = {cols[i] for i in neighbours}
+            grown.extend(cols + (c,) for c in range(1, q + 1) if c not in used)
+        colorings = grown
+    return SimplicialComplex(frozenset(zip(rows, cols)) for cols in colorings)
 
 
 def split_by_column(K: SimplicialComplex, row, q):
@@ -132,7 +127,7 @@ def _rows_for(rows, count, message):
 def assignment_complex(rows, q) -> SimplicialComplex:
     """All assignments of the given rows to columns 1..q (the pairwise
     deleted join restricted to these rows)."""
-    return _ruled_complex(rows, q, lambda cols: True)
+    return coloring_complex(rows, q, ())
 
 
 def deleted_join_of_simplex(n, p) -> SimplicialComplex:
@@ -146,6 +141,8 @@ def deleted_join_of_simplex(n, p) -> SimplicialComplex:
 def chessboard_on(rows, q) -> SimplicialComplex:
     """Chessboard complex on explicit rows with columns 1..q."""
     rows = list(rows)
+    if len(set(rows)) != len(rows):
+        raise InvalidParameters(f"repeated row in {rows!r}")
     k = min(len(rows), q)
     facets = []
     for row_subset in combinations(rows, k):
@@ -168,7 +165,7 @@ def complex_C(l, q, rows=None) -> SimplicialComplex:
     if l < 1 or q < 2:
         raise InvalidParameters("need l >= 1 and q >= 2")
     rows = _rows_for(rows, l + 1, "need l+1 rows (apex first)")
-    return _ruled_complex(rows, q, _apex_apart)
+    return coloring_complex(rows, q, Star(l).edges_on(rows))
 
 
 def c_cones(l, q):
@@ -181,13 +178,15 @@ def complex_D(l, q, rows=None) -> SimplicialComplex:
     columns.  q(q-1)^l facets; complex_D(1, q) is the 2-row chessboard."""
     if l < 1 or q < 2:
         raise InvalidParameters("need l >= 1 and q >= 2")
-    return _ruled_complex(_rows_for(rows, l + 1, "need l+1 rows"), q, _walk)
+    rows = _rows_for(rows, l + 1, "need l+1 rows")
+    return coloring_complex(rows, q, Path(l).edges_on(rows))
 
 
 def d_subcomplexes(l, q):
     """The subcomplexes D^k (facets whose last row uses column k), k=1..q.
     Here l may be 0 (a single row)."""
-    return split_by_column(_ruled_complex(range(l + 1), q, _walk), l, q)
+    rows = list(range(l + 1))
+    return split_by_column(coloring_complex(rows, q, Path(l).edges_on(rows)), l, q)
 
 
 def complex_E(l, q, rows=None) -> SimplicialComplex:
@@ -195,7 +194,8 @@ def complex_E(l, q, rows=None) -> SimplicialComplex:
     first row != last row.  (q-1)^l + (-1)^l (q-1) facets."""
     if l < 3 or q < 2:
         raise InvalidParameters("need l >= 3 and q >= 2")
-    return _ruled_complex(_rows_for(rows, l, "need l rows"), q, _closed_walk)
+    rows = _rows_for(rows, l, "need l rows")
+    return coloring_complex(rows, q, Cycle(l).edges_on(rows))
 
 
 def e_subcomplexes(l, q):
@@ -400,15 +400,14 @@ def good_subcomplex(spec, q, d) -> JoinComplex:
     `constraints.instantiate`); for a Star the first row is the center, for
     Path/Cycle the rows follow the path/cycle order.
     """
-    from .constraints import family_admissible
-
     if not family_admissible(spec, q, d):
         raise InvalidParameters(f"{spec!r} is not an admissible family for q={q}, d={d}")
     factors = []
     off = 0
     for part in spec.parts:
-        factors.append(part.complex(q, range(off, off + part.vertex_count())))
-        off += part.vertex_count()
+        rows = list(range(off, off + part.vertex_count()))
+        factors.append(coloring_complex(rows, q, part.edges_on(rows)))
+        off += len(rows)
     for row in range(off, (d + 1) * (q - 1) + 1):
         factors.append(assignment_complex([row], q))
     return JoinComplex(factors)
@@ -468,7 +467,8 @@ def verify_intersection_identities(l, q):
     if l >= 4 and q >= 5:
         e_l = {i: _face_set(K) for i, K in e_subcomplexes(l, q).items()}
         lhs = set.intersection(*(e_l[i] for i in cols))
-        middle = _ruled_complex(range(1, l - 2), q, _walk)
+        rows = list(range(1, l - 2))
+        middle = coloring_complex(rows, q, Path(l - 4).edges_on(rows))
         _record(report, "E eq6", lhs, _face_set(middle))
         # Dt^{i,S} is D^i with the first row's (row 0's) columns S deleted.
         sub3 = d_subcomplexes(l - 3, q)

@@ -11,7 +11,6 @@ those.
 import math
 from dataclasses import dataclass, field
 
-from .complexes import chessboard_on, complex_C, complex_D, complex_E
 from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
 from .geometry import PointConfiguration, effective_general_position
 from .partitions import enumerate_candidate_partitions
@@ -53,8 +52,9 @@ def avoids(partition, graph: ConstraintGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Family specs: constructive descriptions of the admissible families.  Each
 # connected family states its own facts: its edges, when it is admissible
-# (for prime-power q > 2 and n_labels = (d+1)(q-1)+1), its good complex on
-# given rows with columns 1..q, and that complex's facet count.
+# (for prime-power q > 2 and n_labels = (d+1)(q-1)+1), and the facet count
+# of its good complex.  That complex is no family's own: for every graph it
+# is the proper q-colorings of its edges (complexes.coloring_complex).
 # family_admissible has already refused l <= 0.
 
 class _Connected:
@@ -76,9 +76,6 @@ class CompleteK(_Connected):
     def admissible(self, q, n_labels):
         return self.l >= 2 and 2 * self.l < q + 2
 
-    def complex(self, q, rows):
-        return chessboard_on(rows, q)
-
     def facet_count(self, q):
         return math.comb(max(self.l, q), min(self.l, q)) * math.factorial(min(self.l, q))
 
@@ -95,9 +92,6 @@ class Star(_Connected):
 
     def admissible(self, q, n_labels):
         return self.l < q - 1
-
-    def complex(self, q, rows):
-        return complex_C(self.l, q, rows)
 
     def facet_count(self, q):
         return q * (q - 1) ** self.l
@@ -116,9 +110,6 @@ class Path(_Connected):
     def admissible(self, q, n_labels):
         return self.l <= n_labels - 1 and q > 3
 
-    def complex(self, q, rows):
-        return complex_D(self.l, q, rows)
-
     def facet_count(self, q):
         return q * (q - 1) ** self.l
 
@@ -135,9 +126,6 @@ class Cycle(_Connected):
 
     def admissible(self, q, n_labels):
         return self.l >= 3 and self.l <= n_labels and q > 4
-
-    def complex(self, q, rows):
-        return complex_E(self.l, q, rows)
 
     def facet_count(self, q):
         return (q - 1) ** self.l + (-1) ** self.l * (q - 1)

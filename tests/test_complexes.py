@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+from itertools import product
+from operator import ne
 
 import pytest
 
@@ -14,6 +16,7 @@ from tverlab.complexes import (
     c_cones,
     chessboard,
     chessboard_on,
+    coloring_complex,
     complex_C,
     complex_D,
     complex_D_tilde,
@@ -30,13 +33,24 @@ from tverlab.complexes import (
     verify_intersection_identities,
     vertex_orbit_sizes,
 )
-from tverlab.constraints import CompleteK, DisjointUnion, Star, instantiate
+from tverlab.constraints import CompleteK, Cycle, DisjointUnion, Path, Star, instantiate
 from tverlab.errors import InvalidParameters, LabelCollision, LabelFormat
 
 
 def test_facets_form_antichain():
     K = SimplicialComplex([{1, 2}, {1, 2, 3}, {4}])
     assert K.facets == frozenset({frozenset({1, 2, 3}), frozenset({4})})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_facets_are_the_inputs_not_properly_inside_another(seed):
+    # mixed sizes on a small ground set, with repeats and the empty set
+    rng = random.Random(seed)
+    sets = [frozenset(rng.sample(range(7), rng.randint(0, 5))) for _ in range(rng.randint(1, 30))]
+    sets += rng.choices(sets, k=rng.randint(0, 5)) + [frozenset()]
+    rng.shuffle(sets)
+    maximal = {f for f in sets if f and not any(f < g for g in sets)}
+    assert SimplicialComplex(sets).facets == maximal
 
 
 def test_join_facet_count_multiplies():
@@ -49,6 +63,23 @@ def test_join_label_collision():
     K = assignment_complex([0], 2)
     with pytest.raises(LabelCollision):
         join(K, K)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: coloring_complex([3, 1, 3], 3, [(3, 1)]),
+        lambda: assignment_complex([5, 5], 2),
+        lambda: complex_C(2, 3, rows=[0, 1, 0]),
+        lambda: complex_D(2, 3, rows=[0, 0, 1]),
+        lambda: complex_E(3, 3, rows=[0, 1, 1]),
+        lambda: chessboard_on([0, 0], 3),
+    ],
+    ids=["coloring", "assignment", "C", "D", "E", "chessboard_on"],
+)
+def test_builders_refuse_repeated_rows(build):
+    with pytest.raises(InvalidParameters):
+        build()
 
 
 def test_deleted_join_counts():
@@ -454,3 +485,66 @@ def test_good_subcomplex_at_d1_is_its_d2_factors_on_the_lower_rows(q):
         wide = good_subcomplex(spec, q, 2).factors
         lower = [F for F in wide if max(row for row, _ in F.vertices) < n1]
         assert lower == good_subcomplex(spec, q, 1).factors
+
+
+# ---------------------------------------------------------------------------
+# coloring_complex against the whole-tuple rules it replaced
+
+
+def _ruled(rows, q, keep):
+    """Every column tuple of the rows (in order), kept if it passes `keep`."""
+    rows = list(rows)
+    return SimplicialComplex(
+        frozenset(zip(rows, cols))
+        for cols in product(range(1, q + 1), repeat=len(rows))
+        if keep(cols)
+    )
+
+
+def _walk(cols):
+    return all(map(ne, cols, cols[1:]))
+
+
+RULES = {  # family -> (rows it takes for l, its rule on column tuples)
+    Star: (lambda l: l + 1, lambda cols: cols[0] not in cols[1:]),
+    Path: (lambda l: l + 1, _walk),
+    Cycle: (lambda l: l, lambda cols: cols[0] != cols[-1] and _walk(cols)),
+}
+
+
+def _old_factor(part, rows, q):
+    """The factor the family classes' complex() methods built."""
+    if isinstance(part, CompleteK):
+        return chessboard_on(rows, q)
+    return _ruled(rows, q, RULES[type(part)][1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_builders_match_the_whole_tuple_rules(q):
+    rng = random.Random(q)
+    for family, build, low in ((Star, complex_C, 1), (Path, complex_D, 1), (Cycle, complex_E, 3)):
+        count, keep = RULES[family]
+        for l in range(low, 6):
+            assert build(l, q) == _ruled(range(count(l)), q, keep)
+            rows = rng.sample(range(3, 60), count(l))  # shuffled, not contiguous
+            assert build(l, q, rows) == _ruled(rows, q, keep)
+    for n in range(1, 7):
+        for rows in (range(n), rng.sample(range(3, 60), n)):
+            assert assignment_complex(rows, q) == _ruled(rows, q, lambda cols: True)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_good_subcomplex_factors_match_the_old_family_builds(q):
+    n = {d: (d + 1) * (q - 1) + 1 for d in (1, 2)}
+    for d in (1, 2):
+        for spec in drivers._admissible_specs(q, d):
+            if not _within_budget(spec, q):
+                continue
+            expected = []
+            off = 0
+            for part in spec.parts:
+                rows = list(range(off, off + part.vertex_count()))
+                expected.append(_old_factor(part, rows, q))
+                off += len(rows)
+            expected += [_ruled([row], q, lambda cols: True) for row in range(off, n[d])]
+            assert good_subcomplex(spec, q, d).factors == expected
