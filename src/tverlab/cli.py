@@ -249,7 +249,13 @@ def build_parser():
         required=True,
         choices=["chessboard", "lemmas", "identities", "goodness"],
     )
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument(
+        "--max",
+        type=int,
+        default=6,
+        help="largest m and n for chessboard, largest q for identities; "
+        "lemmas and goodness ignore it",
+    )
     p.set_defaults(run=cmd_complex)
 
     p = sub.add_parser("verify-all", help="run every acceptance campaign")

@@ -47,7 +47,7 @@ class SimplicialComplex:
 
     @cached_property
     def vertices(self):
-        return frozenset(v for f in self.facets for v in f)
+        return frozenset().union(*self.facets)
 
     @property
     def dim(self):
@@ -100,14 +100,15 @@ def coloring_complex(rows, q, edges) -> SimplicialComplex:
     for a, b in edges:
         i, j = sorted((position[a], position[b]))
         earlier[j].append(i)
-    colorings = [()]
-    for neighbours in earlier:
+    colorings = [()]  # each a tuple of vertices, one per row so far
+    for row, neighbours in zip(rows, earlier):
+        cells = [(row, c) for c in range(1, q + 1)]  # shared by every facet
         grown = []
-        for cols in colorings:
-            used = {cols[i] for i in neighbours}
-            grown.extend(cols + (c,) for c in range(1, q + 1) if c not in used)
+        for assigned in colorings:
+            used = {assigned[i][1] for i in neighbours}
+            grown.extend(assigned + (v,) for v in cells if v[1] not in used)
         colorings = grown
-    return SimplicialComplex(frozenset(zip(rows, cols)) for cols in colorings)
+    return SimplicialComplex(map(frozenset, colorings))
 
 
 def split_by_column(K: SimplicialComplex, row, q):
@@ -295,12 +296,23 @@ def invariance_check(K, action: GroupAction) -> bool:
     """True iff every generator maps each factor's facet set onto itself.
 
     The image of the facet set must equal it, not merely lie inside it:
-    nothing makes a generator a permutation."""
+    nothing makes a generator a permutation.  So each generator must first
+    map the factor's vertex set one-to-one onto itself; if it does not, a
+    vertex that leaves the set, or that the image misses, lies in a facet
+    no image facet equals.  Then each vertex gets its own bit, each facet is
+    keyed by the sum of its vertices' bits (a one-to-one image carries no
+    bit), and the image keys must be the facet keys."""
     for factor in K.factors:
-        _check_columns(factor.vertices, action.q)
+        verts = factor.vertices
+        _check_columns(verts, action.q)
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        keys = {sum(map(bit.__getitem__, f)) for f in factor.facets}
         for g in action.generators:
-            image = {(row, col): (row, g[col - 1]) for row, col in factor.vertices}
-            if {frozenset(map(image.__getitem__, f)) for f in factor.facets} != factor.facets:
+            image = {v: (v[0], g[v[1] - 1]) for v in verts}
+            if set(image.values()) != verts:  # onto a finite set: one-to-one
+                return False
+            moved = {v: bit[w] for v, w in image.items()}
+            if {sum(map(moved.__getitem__, f)) for f in factor.facets} != keys:
                 return False
     return True
 
@@ -310,9 +322,12 @@ def goodness_check(K, constrained_row_pairs) -> bool:
     same column (no 'vertical edge' for those pairs).
 
     Facets combine freely across join factors, so a pair split across two
-    factors is violated iff its rows share a column; for the pairs inside
-    one factor, each vertical edge {(r1, c), (r2, c)} that the factor's
-    vertices allow is looked for in one scan of its facets.
+    factors is violated iff its rows share a column.  For the pairs inside
+    one factor, one pass over its facets collects, for each end of a
+    vertical edge {(r1, c), (r2, c)} that the factor's vertices allow, the
+    set of indices of the facets holding it; the edge is a face iff its two
+    ends' index sets meet.  This holds for any facets, even ones with two
+    columns in one row.
     """
     factor_of = {}  # row -> index of the factor holding it
     cols_of = {}  # row -> columns used by some vertex of that row
@@ -333,12 +348,17 @@ def goodness_check(K, constrained_row_pairs) -> bool:
             if shared:
                 return False
         else:
-            inner.setdefault(factor_of[r1], []).extend({(r1, c), (r2, c)} for c in shared)
-    return not any(
-        any(map(edge.issubset, K.factors[idx].facets))
-        for idx, edges in inner.items()
-        for edge in edges
-    )
+            inner.setdefault(factor_of[r1], []).extend(((r1, c), (r2, c)) for c in shared)
+    for idx, edges in inner.items():
+        holding = {v: [] for edge in edges for v in edge}  # end -> indices of its facets
+        for i, f in enumerate(K.factors[idx].facets):
+            for v in f:
+                indices = holding.get(v)
+                if indices is not None:
+                    indices.append(i)
+        if any(not set(holding[a]).isdisjoint(holding[b]) for a, b in edges):
+            return False
+    return True
 
 
 def vertex_orbit_sizes(K, action: GroupAction):
@@ -385,7 +405,7 @@ class JoinComplex:
 
     @property
     def vertices(self):
-        return frozenset(v for f in self.factors for v in f.vertices)
+        return frozenset().union(*(f.vertices for f in self.factors))
 
     @property
     def dim(self):

@@ -358,7 +358,8 @@ def _random_case(seed):
     Seeds cycle through: a plain random complex; one with a vertical edge
     planted on a constrained pair; an orbit closure (invariant); the same
     closure with one facet removed (a broken orbit); and a JoinComplex
-    whose two factors share a column on a constrained pair."""
+    whose two factors share a column on a constrained pair, half the time
+    with both factors orbit closures."""
     rng = random.Random(seed)
     q = rng.choice((3, 4, 5))
     action = regular_prime_power_action(q)
@@ -377,15 +378,39 @@ def _random_case(seed):
             facets.discard(rng.choice(sorted(facets, key=sorted)))
     if kind == 4:
         cut = rng.randint(1, len(rows) - 1)
-        left = SimplicialComplex(_random_assignments(rng, rows[:cut], q))
-        right = SimplicialComplex(_random_assignments(rng, rows[cut:], q))
+        closed = rng.random() < 0.5
+        left, right = (
+            SimplicialComplex(
+                _orbit_closure(assigned, action) if closed else assigned
+            )
+            for assigned in (
+                _random_assignments(rng, rows[:cut], q),
+                _random_assignments(rng, rows[cut:], q),
+            )
+        )
         pairs.append((rows[0], rows[-1]))
         return JoinComplex([left, right]), pairs, action
     return SimplicialComplex(facets), pairs, action
 
 
+def _odd_actions(action):
+    """Column maps made from each generator h of `action`, not all of them
+    permutations of 1..q: h with an extra column q+1 sent where column 1
+    goes (not one-to-one, yet h on every column a vertex uses); h with
+    column 1 sent where column 2 goes (not one-to-one on 1..q); and h with
+    column 1 sent to the unused column q+1 and q+1 sent where column 1 went
+    (a permutation that sends vertices out of the complex)."""
+    q, hs = action.q, action.generators
+    return {
+        "extra column": GroupAction(q + 1, tuple(h + (h[0],) for h in hs)),
+        "merged": GroupAction(q, tuple((h[1],) + h[1:] for h in hs)),
+        "escaping": GroupAction(q + 1, tuple((q + 1,) + h[1:] + (h[0],) for h in hs)),
+    }
+
+
 def test_goodness_and_invariance_match_the_references_on_random_complexes():
     seen = set()
+    odd_seen = set()
     for seed in range(400):
         K, pairs, action = _random_case(seed)
         good = goodness_check(K, pairs)
@@ -393,6 +418,16 @@ def test_goodness_and_invariance_match_the_references_on_random_complexes():
         assert good == _goodness_reference(K, pairs), seed
         assert invariant == _invariance_reference(K, action), seed
         seen.add((seed % 5, good, invariant))
+        for name, odd in _odd_actions(action).items():
+            verdict = invariance_check(K, odd)
+            assert verdict == _invariance_reference(K, odd), (seed, name)
+            odd_seen.add((isinstance(K, JoinComplex), name, verdict))
+    # maps that are not permutations give both verdicts, on plain and join complexes
+    for join_case in (False, True):
+        assert {v for j, name, v in odd_seen if j == join_case and name != "escaping"} == {
+            True,
+            False,
+        }, join_case
     # both verdicts occur wherever they can; a planted vertical edge is never good
     for kind in (0, 2, 3, 4):
         assert {good for k, good, _ in seen if k == kind} == {True, False}, kind
