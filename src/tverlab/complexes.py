@@ -9,10 +9,14 @@ The good complex of a constraint graph keeps the assignments that put the
 two ends of every edge in different columns: its facets are the graph's
 proper q-colorings, all built by coloring_complex(rows, q, edges).  So are
 complex_C, complex_D and complex_E (the star K_{1,l}, path P_l and cycle C_l
-on rows listed first-to-last); their decompositions into cones and D^k, E^i
+on rows 0, 1, 2, ... in order); their decompositions into cones and D^k, E^i
 subcomplexes split them by the column of one row.  chessboard(m, n), the
 partial assignments injective on columns, is not: with more rows than
 columns its facets are not colorings.
+
+A good subcomplex of a constraint family is a join, kept as the tuple of
+its factors; the goodness, invariance and orbit checks each take one
+complex, and the goodness campaign runs them on each factor.
 """
 
 from dataclasses import dataclass
@@ -39,11 +43,6 @@ class SimplicialComplex:
                 kept.append(f)
         self.facets = frozenset(fs)
         self._faces = None
-
-    @property
-    def factors(self):
-        """A plain complex is its own single join factor."""
-        return (self,)
 
     @cached_property
     def vertices(self):
@@ -98,6 +97,8 @@ def coloring_complex(rows, q, edges) -> SimplicialComplex:
         raise InvalidParameters(f"repeated row in {rows!r}")
     earlier = [[] for _ in rows]  # position -> positions of earlier neighbours
     for a, b in edges:
+        if a == b or a not in position or b not in position:
+            raise InvalidParameters(f"edge {(a, b)!r} is a loop or leaves the rows {rows!r}")
         i, j = sorted((position[a], position[b]))
         earlier[j].append(i)
     colorings = [()]  # each a tuple of vertices, one per row so far
@@ -116,13 +117,6 @@ def split_by_column(K: SimplicialComplex, row, q):
     return {
         c: SimplicialComplex(f for f in K.facets if (row, c) in f) for c in range(1, q + 1)
     }
-
-
-def _rows_for(rows, count, message):
-    rows = list(range(count)) if rows is None else list(rows)
-    if len(rows) != count:
-        raise InvalidParameters(message)
-    return rows
 
 
 def assignment_complex(rows, q) -> SimplicialComplex:
@@ -160,12 +154,12 @@ def chessboard(m, n) -> SimplicialComplex:
     return chessboard_on(range(m), n)
 
 
-def complex_C(l, q, rows=None) -> SimplicialComplex:
-    """Star-constraint complex: apex row (first of `rows`) never shares a
+def complex_C(l, q) -> SimplicialComplex:
+    """Star-constraint complex on rows 0..l: the apex row 0 never shares a
     column with a leaf row.  q(q-1)^l facets."""
     if l < 1 or q < 2:
         raise InvalidParameters("need l >= 1 and q >= 2")
-    rows = _rows_for(rows, l + 1, "need l+1 rows (apex first)")
+    rows = list(range(l + 1))
     return coloring_complex(rows, q, Star(l).edges_on(rows))
 
 
@@ -174,12 +168,12 @@ def c_cones(l, q):
     return list(split_by_column(complex_C(l, q), 0, q).values())
 
 
-def complex_D(l, q, rows=None) -> SimplicialComplex:
-    """Path-constraint complex on l+1 rows: consecutive rows use distinct
+def complex_D(l, q) -> SimplicialComplex:
+    """Path-constraint complex on rows 0..l: consecutive rows use distinct
     columns.  q(q-1)^l facets; complex_D(1, q) is the 2-row chessboard."""
     if l < 1 or q < 2:
         raise InvalidParameters("need l >= 1 and q >= 2")
-    rows = _rows_for(rows, l + 1, "need l+1 rows")
+    rows = list(range(l + 1))
     return coloring_complex(rows, q, Path(l).edges_on(rows))
 
 
@@ -190,12 +184,12 @@ def d_subcomplexes(l, q):
     return split_by_column(coloring_complex(rows, q, Path(l).edges_on(rows)), l, q)
 
 
-def complex_E(l, q, rows=None) -> SimplicialComplex:
-    """Cycle-constraint complex on l rows: consecutive rows distinct and
+def complex_E(l, q) -> SimplicialComplex:
+    """Cycle-constraint complex on rows 0..l-1: consecutive rows distinct and
     first row != last row.  (q-1)^l + (-1)^l (q-1) facets."""
     if l < 3 or q < 2:
         raise InvalidParameters("need l >= 3 and q >= 2")
-    rows = _rows_for(rows, l, "need l rows")
+    rows = list(range(l))
     return coloring_complex(rows, q, Cycle(l).edges_on(rows))
 
 
@@ -293,27 +287,26 @@ def _check_columns(vertices, q):
 
 
 def invariance_check(K, action: GroupAction) -> bool:
-    """True iff every generator maps each factor's facet set onto itself.
+    """True iff every generator maps the facet set of K onto itself.
 
     The image of the facet set must equal it, not merely lie inside it:
     nothing makes a generator a permutation.  So each generator must first
-    map the factor's vertex set one-to-one onto itself; if it does not, a
-    vertex that leaves the set, or that the image misses, lies in a facet
-    no image facet equals.  Then each vertex gets its own bit, each facet is
-    keyed by the sum of its vertices' bits (a one-to-one image carries no
-    bit), and the image keys must be the facet keys."""
-    for factor in K.factors:
-        verts = factor.vertices
-        _check_columns(verts, action.q)
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        keys = {sum(map(bit.__getitem__, f)) for f in factor.facets}
-        for g in action.generators:
-            image = {v: (v[0], g[v[1] - 1]) for v in verts}
-            if set(image.values()) != verts:  # onto a finite set: one-to-one
-                return False
-            moved = {v: bit[w] for v, w in image.items()}
-            if {sum(map(moved.__getitem__, f)) for f in factor.facets} != keys:
-                return False
+    map the vertex set one-to-one onto itself; if it does not, a vertex
+    that leaves the set, or that the image misses, lies in a facet no image
+    facet equals.  Then each vertex gets its own bit, each facet is keyed
+    by the sum of its vertices' bits (a one-to-one image carries no bit),
+    and the image keys must be the facet keys."""
+    verts = K.vertices
+    _check_columns(verts, action.q)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    keys = {sum(map(bit.__getitem__, f)) for f in K.facets}
+    for g in action.generators:
+        image = {v: (v[0], g[v[1] - 1]) for v in verts}
+        if set(image.values()) != verts:  # onto a finite set: one-to-one
+            return False
+        moved = {v: bit[w] for v, w in image.items()}
+        if {sum(map(moved.__getitem__, f)) for f in K.facets} != keys:
+            return False
     return True
 
 
@@ -321,104 +314,69 @@ def goodness_check(K, constrained_row_pairs) -> bool:
     """True iff no face holds both ends of a constrained row pair in the
     same column (no 'vertical edge' for those pairs).
 
-    Facets combine freely across join factors, so a pair split across two
-    factors is violated iff its rows share a column.  For the pairs inside
-    one factor, one pass over its facets collects, for each end of a
-    vertical edge {(r1, c), (r2, c)} that the factor's vertices allow, the
-    set of indices of the facets holding it; the edge is a face iff its two
-    ends' index sets meet.  This holds for any facets, even ones with two
-    columns in one row.
+    One pass over the facets collects, for each end of a vertical edge
+    {(r1, c), (r2, c)} that the vertices allow, the set of indices of the
+    facets holding it; the edge is a face iff its two ends' index sets
+    meet.  This holds for any facets, even ones with two columns in one
+    row.  A row absent from K cannot be violated.
     """
-    factor_of = {}  # row -> index of the factor holding it
     cols_of = {}  # row -> columns used by some vertex of that row
-    for idx, factor in enumerate(K.factors):
-        for v in factor.vertices:
-            try:
-                row, col = v
-            except (TypeError, ValueError) as exc:
-                raise LabelFormat("vertices must be (row, column) pairs") from exc
-            factor_of[row] = idx
-            cols_of.setdefault(row, set()).add(col)
-    inner = {}  # factor index -> vertical edges inside it
-    for r1, r2 in constrained_row_pairs:
-        if r1 not in factor_of or r2 not in factor_of:
-            continue  # a row absent from the complex cannot be violated
-        shared = cols_of[r1] & cols_of[r2]
-        if factor_of[r1] != factor_of[r2]:
-            if shared:
-                return False
-        else:
-            inner.setdefault(factor_of[r1], []).extend(((r1, c), (r2, c)) for c in shared)
-    for idx, edges in inner.items():
-        holding = {v: [] for edge in edges for v in edge}  # end -> indices of its facets
-        for i, f in enumerate(K.factors[idx].facets):
-            for v in f:
-                indices = holding.get(v)
-                if indices is not None:
-                    indices.append(i)
-        if any(not set(holding[a]).isdisjoint(holding[b]) for a, b in edges):
-            return False
-    return True
+    for v in K.vertices:
+        try:
+            row, col = v
+        except (TypeError, ValueError) as exc:
+            raise LabelFormat("vertices must be (row, column) pairs") from exc
+        cols_of.setdefault(row, set()).add(col)
+    edges = [
+        ((r1, c), (r2, c))
+        for r1, r2 in constrained_row_pairs
+        if r1 in cols_of and r2 in cols_of
+        for c in cols_of[r1] & cols_of[r2]
+    ]
+    holding = {v: [] for edge in edges for v in edge}  # end -> indices of its facets
+    for i, f in enumerate(K.facets):
+        for v in f:
+            indices = holding.get(v)
+            if indices is not None:
+                indices.append(i)
+    return all(set(holding[a]).isdisjoint(holding[b]) for a, b in edges)
 
 
 def vertex_orbit_sizes(K, action: GroupAction):
-    """Sizes of the vertex orbits under the full generated group, factor by
-    factor; an orbit leaving its factor's vertex set reports -1."""
+    """Sizes of the vertex orbits under the full generated group; an orbit
+    leaving the vertex set of K reports -1."""
     elements = action.elements()
+    verts = K.vertices
+    _check_columns(verts, action.q)
     sizes = []
-    for factor in K.factors:
-        verts = factor.vertices
-        _check_columns(verts, action.q)
-        seen = set()
-        for v in sorted(verts):
-            if v in seen:
-                continue
-            orbit = {(v[0], g[v[1] - 1]) for g in elements}
-            if not orbit <= verts:
-                sizes.append(-1)  # orbit escapes the complex: not invariant
-                seen |= orbit & verts
-            else:
-                sizes.append(len(orbit))
-                seen |= orbit
+    seen = set()
+    for v in sorted(verts):
+        if v in seen:
+            continue
+        orbit = {(v[0], g[v[1] - 1]) for g in elements}
+        if not orbit <= verts:
+            sizes.append(-1)  # orbit escapes the complex: not invariant
+            seen |= orbit & verts
+        else:
+            sizes.append(len(orbit))
+            seen |= orbit
     return sizes
 
 
 # ---------------------------------------------------------------------------
 # Good subcomplexes for constraint-graph families
 
-class JoinComplex:
-    """A join kept in factored form (factors on disjoint row sets).
+def good_subcomplex(spec, q, d) -> tuple:
+    """The invariant subcomplex avoiding a family's constraint edges, as the
+    tuple of its join factors: one coloring complex per part of the family,
+    then one free row per remaining row.
 
-    Facet counts multiply, so the full complex is often far too large to
-    build; it is never built.  Goodness, invariance, and orbit checks all
-    work factor-wise.
-    """
-
-    def __init__(self, factors):
-        self.factors = [f for f in factors if f.facets]
-        rows_seen = set()
-        for f in self.factors:
-            rows = {v[0] for v in f.vertices}
-            if rows & rows_seen:
-                raise LabelCollision("join factors share rows")
-            rows_seen |= rows
-
-    @property
-    def vertices(self):
-        return frozenset().union(*(f.vertices for f in self.factors))
-
-    @property
-    def dim(self):
-        return sum(f.dim + 1 for f in self.factors) - 1
-
-
-def good_subcomplex(spec, q, d) -> JoinComplex:
-    """The invariant subcomplex avoiding a family's constraint edges: the
-    join of per-component complexes with all remaining rows free.
-
-    The family's vertex slots take rows 0, 1, 2, ... in order (as in
-    `constraints.instantiate`); for a Star the first row is the center, for
-    Path/Cycle the rows follow the path/cycle order.
+    Facet counts multiply, so the join is often far too large to build;
+    each constraint edge lies inside one part's rows, so the join is good
+    and invariant iff every factor is.  The family's vertex slots take rows
+    0, 1, 2, ... in order (as in `constraints.instantiate`); for a Star the
+    first row is the center, for Path/Cycle the rows follow the path/cycle
+    order.
     """
     if not family_admissible(spec, q, d):
         raise InvalidParameters(f"{spec!r} is not an admissible family for q={q}, d={d}")
@@ -430,7 +388,7 @@ def good_subcomplex(spec, q, d) -> JoinComplex:
         off += len(rows)
     for row in range(off, (d + 1) * (q - 1) + 1):
         factors.append(assignment_complex([row], q))
-    return JoinComplex(factors)
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

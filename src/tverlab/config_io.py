@@ -67,10 +67,3 @@ def parse_configuration(text) -> PointConfiguration:
 def format_scalar(value):
     value = Fraction(value)
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def format_configuration(config: PointConfiguration) -> str:
-    lines = [f"d={config.d} q={config.q}"]
-    for p in config.points:
-        lines.append(" ".join(format_scalar(c) for c in p))
-    return "\n".join(lines) + "\n"

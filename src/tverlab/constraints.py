@@ -15,7 +15,7 @@ from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
 from .geometry import PointConfiguration, effective_general_position
 from .partitions import enumerate_candidate_partitions
 from .rng import SplitMix64
-from .tverberg import _classify, is_prime_power
+from .tverberg import _classify, is_prime_power, tverberg_records
 
 WITNESS_COORD_BOUND = 1 << 10
 SAMPLE_COORD_BOUND = 1 << 20
@@ -174,8 +174,6 @@ def instantiate(spec, n) -> ConstraintGraph:
 
 def constrained_records(config: PointConfiguration, graph: ConstraintGraph, records=None):
     """Tverberg records whose partitions avoid the constraint graph."""
-    from .tverberg import tverberg_records
-
     if records is None:
         records = tverberg_records(config)
     return [r for r in records if avoids(r.partition, graph)]

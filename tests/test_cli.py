@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tverlab import cli, constraints
-from tverlab.config_io import format_configuration, parse_configuration
+from tverlab.config_io import format_scalar, parse_configuration
 from tverlab.errors import ArityError, ParseError
 
 GOOD = """\
@@ -22,6 +22,13 @@ d=2 q=3
 14 10
 20 -11
 """
+
+
+def format_configuration(config):
+    """The configuration-file text of `config`, the inverse of parsing it."""
+    lines = [f"d={config.d} q={config.q}"]
+    lines += [" ".join(map(format_scalar, p)) for p in config.points]
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_roundtrip():

@@ -10,7 +10,6 @@ from tverlab import drivers
 
 from tverlab.complexes import (
     GroupAction,
-    JoinComplex,
     SimplicialComplex,
     assignment_complex,
     c_cones,
@@ -70,14 +69,17 @@ def test_join_label_collision():
     [
         lambda: coloring_complex([3, 1, 3], 3, [(3, 1)]),
         lambda: assignment_complex([5, 5], 2),
-        lambda: complex_C(2, 3, rows=[0, 1, 0]),
-        lambda: complex_D(2, 3, rows=[0, 0, 1]),
-        lambda: complex_E(3, 3, rows=[0, 1, 1]),
+        lambda: coloring_complex([0, 1, 0], 3, Star(2).edges_on([0, 1, 0])),
+        lambda: coloring_complex([0, 0, 1], 3, Path(2).edges_on([0, 0, 1])),
+        lambda: coloring_complex([0, 1, 1], 3, Cycle(3).edges_on([0, 1, 1])),
         lambda: chessboard_on([0, 0], 3),
+        lambda: coloring_complex([0, 1], 3, [(0, 5)]),
+        lambda: coloring_complex([0, 1], 3, [(1, 1)]),
     ],
-    ids=["coloring", "assignment", "C", "D", "E", "chessboard_on"],
+    ids=["coloring", "assignment", "C", "D", "E", "chessboard_on", "edge-outside", "loop"],
 )
 def test_builders_refuse_repeated_rows(build):
+    # and edges that are loops or have an end outside the rows
     with pytest.raises(InvalidParameters):
         build()
 
@@ -203,35 +205,35 @@ def test_goodness_fails_on_full_join():
 
 
 def test_goodness_star_complex():
-    K = complex_C(2, 5, rows=[0, 1, 2])
+    K = complex_C(2, 5)
     assert goodness_check(K, [(0, 1), (0, 2)])
 
 
 def test_good_subcomplex_k2_q3_d1():
-    L = good_subcomplex(CompleteK(2), 3, 1)
-    assert math.prod(len(f.facets) for f in L.factors) == 6 * 27
+    factors = good_subcomplex(CompleteK(2), 3, 1)
+    assert [len(F.facets) for F in factors] == [6, 3, 3, 3]
+    L = functools.reduce(join, factors)
+    assert len(L.facets) == 162
     assert L.dim == 4
     assert goodness_check(L, [(0, 1)])
-    M = functools.reduce(join, L.factors)
-    assert len(M.facets) == 162
 
 
 def test_goodness_fails_on_join_split_pair():
     # the pair's rows sit in two free factors, so some facet puts both in
     # one column
-    L = JoinComplex([assignment_complex([0], 3), assignment_complex([1], 3)])
+    L = join(assignment_complex([0], 3), assignment_complex([1], 3))
     assert not goodness_check(L, [(0, 1)])
 
 
 def test_goodness_fails_on_join_inner_pair():
-    L = JoinComplex([assignment_complex([0, 1], 3), assignment_complex([2], 3)])
+    L = join(assignment_complex([0, 1], 3), assignment_complex([2], 3))
     assert not goodness_check(L, [(0, 1)])
-    M = JoinComplex([chessboard_on([0, 1], 3), assignment_complex([2], 3)])
+    M = join(chessboard_on([0, 1], 3), assignment_complex([2], 3))
     assert goodness_check(M, [(0, 1)])
 
 
 def test_good_subcomplex_union():
-    L = good_subcomplex(DisjointUnion((CompleteK(2), CompleteK(2))), 3, 2)
+    L = functools.reduce(join, good_subcomplex(DisjointUnion((CompleteK(2), CompleteK(2))), 3, 2))
     assert goodness_check(L, [(0, 1), (2, 3)])
     assert invariance_check(L, regular_prime_power_action(3))
 
@@ -242,7 +244,7 @@ def test_good_subcomplex_rejects_inadmissible():
 
 
 def test_vertex_orbits_size_q():
-    L = good_subcomplex(Star(1), 4, 1)
+    L = functools.reduce(join, good_subcomplex(Star(1), 4, 1))
     assert vertex_orbit_sizes(L, regular_prime_power_action(4)) == [4] * len(
         set(v[0] for v in L.vertices)
     )
@@ -297,37 +299,20 @@ def test_action_checks_refuse_columns_outside_1_to_q(col):
 
 def _goodness_reference(K, constrained_row_pairs):
     """Goodness by grouping each facet's rows by column, facet by facet."""
-    factor_of, cols_of = {}, {}
-    for idx, factor in enumerate(K.factors):
-        for row, col in factor.vertices:
-            factor_of[row] = idx
-            cols_of.setdefault(row, set()).add(col)
-    inner = {}
-    for r1, r2 in constrained_row_pairs:
-        if r1 not in factor_of or r2 not in factor_of:
-            continue
-        if factor_of[r1] != factor_of[r2]:
-            if cols_of[r1] & cols_of[r2]:
+    for f in K.facets:
+        rows_at = {}
+        for row, col in f:
+            rows_at.setdefault(col, set()).add(row)
+        for rows in rows_at.values():
+            if any(r1 in rows and r2 in rows for r1, r2 in constrained_row_pairs):
                 return False
-        else:
-            inner.setdefault(factor_of[r1], []).append((r1, r2))
-    for idx, pairs in inner.items():
-        for f in K.factors[idx].facets:
-            rows_at = {}
-            for row, col in f:
-                rows_at.setdefault(col, set()).add(row)
-            for rows in rows_at.values():
-                if any(r1 in rows and r2 in rows for r1, r2 in pairs):
-                    return False
     return True
 
 
 def _invariance_reference(K, action):
     """Invariance by moving each facet's vertices one at a time."""
     return all(
-        frozenset(frozenset((row, g[col - 1]) for row, col in f) for f in factor.facets)
-        == factor.facets
-        for factor in K.factors
+        frozenset(frozenset((row, g[col - 1]) for row, col in f) for f in K.facets) == K.facets
         for g in action.generators
     )
 
@@ -357,9 +342,9 @@ def _random_case(seed):
 
     Seeds cycle through: a plain random complex; one with a vertical edge
     planted on a constrained pair; an orbit closure (invariant); the same
-    closure with one facet removed (a broken orbit); and a JoinComplex
-    whose two factors share a column on a constrained pair, half the time
-    with both factors orbit closures."""
+    closure with one facet removed (a broken orbit); and the join of two
+    complexes on disjoint rows with a constrained pair across them, half
+    the time with both factors orbit closures."""
     rng = random.Random(seed)
     q = rng.choice((3, 4, 5))
     action = regular_prime_power_action(q)
@@ -382,7 +367,7 @@ def _random_case(seed):
         if rng.random() < 0.5:
             halves = [_orbit_closure(half, action) for half in halves]
         pairs.append((rows[0], rows[-1]))
-        return JoinComplex(map(SimplicialComplex, halves)), pairs, action
+        return join(*map(SimplicialComplex, halves)), pairs, action
     return SimplicialComplex(facets), pairs, action
 
 
@@ -414,7 +399,7 @@ def test_goodness_and_invariance_match_the_references_on_random_complexes():
         for name, odd in _odd_actions(action).items():
             verdict = invariance_check(K, odd)
             assert verdict == _invariance_reference(K, odd), (seed, name)
-            odd_seen.add((isinstance(K, JoinComplex), name, verdict))
+            odd_seen.add((seed % 5 == 4, name, verdict))
     # these maps give both verdicts, on plain and on join complexes
     for join_case in (False, True):
         assert {v for j, _, v in odd_seen if j == join_case} == {True, False}, join_case
@@ -427,48 +412,64 @@ def test_goodness_and_invariance_match_the_references_on_random_complexes():
 
 
 def test_goodness_finds_a_column_shared_across_join_factors():
-    L = JoinComplex([chessboard_on([0, 1], 3), SimplicialComplex([{(2, 3)}])])
+    L = join(chessboard_on([0, 1], 3), SimplicialComplex([{(2, 3)}]))
     assert not goodness_check(L, [(1, 2)])
     assert goodness_check(L, [(0, 1)])
-    M = JoinComplex([chessboard_on([0, 1], 2), SimplicialComplex([{(2, 3)}])])
+    M = join(chessboard_on([0, 1], 2), SimplicialComplex([{(2, 3)}]))
     assert goodness_check(M, [(0, 1), (1, 2), (0, 2)])
 
 
 # ---------------------------------------------------------------------------
-# The goodness campaign against the checks on whole complexes
+# The goodness campaign against the checks on each factor and on whole joins
+
+WHOLE_JOIN_FACETS = 15_000  # largest good subcomplex built as one join
 
 
-def _within_budget(spec, q):
-    return all(p.facet_count(q) <= drivers.FACTOR_FACET_BUDGET for p in spec.parts)
+def _campaign_specs(q, d):
+    return [
+        spec
+        for spec in drivers._admissible_specs(q, d)
+        if all(p.facet_count(q) <= drivers.FACTOR_FACET_BUDGET for p in spec.parts)
+    ]
 
 
-def _rows_on_whole_complexes(q, invariance=invariance_check, goodness=goodness_check):
-    """The goodness campaign's rows, each from the three checks run on the
-    whole good subcomplex."""
+def _row(q, d, spec, complexes, invariance=invariance_check):
+    """A campaign row that passes a check iff each of `complexes` does."""
     action = regular_prime_power_action(q)
-    rows = []
+    edges = instantiate(spec, (d + 1) * (q - 1) + 1).edges
+    return {
+        "q": q,
+        "d": d,
+        "spec": repr(spec),
+        "good": all(goodness_check(K, edges) for K in complexes),
+        "invariant": all(invariance(K, action) for K in complexes),
+        "orbits_ok": all(s == q for K in complexes for s in vertex_orbit_sizes(K, action)),
+    }
+
+
+def _rows_on_whole_complexes(q, invariance=invariance_check):
+    """The goodness campaign's rows, built anew for each (spec, d), and how
+    many of them come from whole joins: a row comes from the three checks
+    on the join of its good subcomplex's factors when that join has at most
+    WHOLE_JOIN_FACETS facets, and from the checks on each factor when it
+    has more."""
+    rows, joins = [], 0
     for d in (1, 2):
-        n = (d + 1) * (q - 1) + 1
-        for spec in drivers._admissible_specs(q, d):
-            if not _within_budget(spec, q):
-                continue
-            L = good_subcomplex(spec, q, d)
-            rows.append(
-                {
-                    "q": q,
-                    "d": d,
-                    "spec": repr(spec),
-                    "good": goodness(L, instantiate(spec, n).edges),
-                    "invariant": invariance(L, action),
-                    "orbits_ok": all(s == q for s in vertex_orbit_sizes(L, action)),
-                }
-            )
-    return rows
+        for spec in _campaign_specs(q, d):
+            complexes = good_subcomplex(spec, q, d)
+            if math.prod(len(F.facets) for F in complexes) <= WHOLE_JOIN_FACETS:
+                complexes = [functools.reduce(join, complexes)]
+                joins += 1
+            rows.append(_row(q, d, spec, complexes, invariance))
+    return rows, joins
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [3, 4, 5])
 def test_goodness_rows_match_the_checks_on_whole_complexes(q):
-    assert drivers._goodness_rows(q) == _rows_on_whole_complexes(q)
+    rows, joins = _rows_on_whole_complexes(q)
+    assert drivers._goodness_rows(q) == rows
+    assert joins == {3: 6, 4: 11, 5: 0}[q]  # every row at q = 3, all of d = 1 at q = 4
+    assert {r["good"] and r["invariant"] and r["orbits_ok"] for r in rows} == {True}
 
 
 def test_goodness_rows_at_d1_read_only_their_own_rows(monkeypatch):
@@ -482,34 +483,31 @@ def test_goodness_rows_at_d1_read_only_their_own_rows(monkeypatch):
 
     monkeypatch.setattr(drivers, "invariance_check", invariance)
     rows = drivers._goodness_rows(q)
-    assert rows == _rows_on_whole_complexes(q, invariance)
+    assert rows == _rows_on_whole_complexes(q, invariance)[0]
     assert {r["invariant"] for r in rows if r["d"] == 1} == {True}
     assert {r["invariant"] for r in rows if r["d"] == 2} == {False}
 
 
-def test_goodness_rows_check_the_whole_complex_for_pairs_across_factors(monkeypatch):
-    # no campaign spec has a pair across two factors, so a goodness check
-    # that fails every whole complex shows that the campaign still asks it
-    def goodness(K, pairs):
-        return not isinstance(K, JoinComplex) and goodness_check(K, pairs)
-
-    monkeypatch.setattr(drivers, "goodness_check", goodness)
-    rows = drivers._goodness_rows(3)
-    assert rows == _rows_on_whole_complexes(3, goodness=goodness)
-    assert {r["good"] for r in rows} == {False}
+def test_campaign_edges_lie_inside_exactly_one_factor():
+    # the campaign reads goodness factor by factor, which is goodness of
+    # the join only when no constraint edge joins two factors
+    for q, d in product((3, 4, 5), (1, 2)):
+        n = (d + 1) * (q - 1) + 1
+        for spec in _campaign_specs(q, d):
+            factor_rows = [{row for row, _ in F.vertices} for F in good_subcomplex(spec, q, d)]
+            for edge in instantiate(spec, n).edges:
+                assert sum(rows.issuperset(edge) for rows in factor_rows) == 1, (q, d, spec, edge)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_good_subcomplex_at_d1_is_its_d2_factors_on_the_lower_rows(q):
     # the campaign builds each spec once, at d = 2, and reads d = 1 from it
     n1 = 2 * (q - 1) + 1
-    for spec in drivers._admissible_specs(q, 1):
-        if not _within_budget(spec, q):
-            continue
+    for spec in _campaign_specs(q, 1):
         assert spec in drivers._admissible_specs(q, 2)
-        wide = good_subcomplex(spec, q, 2).factors
-        lower = [F for F in wide if max(row for row, _ in F.vertices) < n1]
-        assert lower == good_subcomplex(spec, q, 1).factors
+        wide = good_subcomplex(spec, q, 2)
+        lower = tuple(F for F in wide if max(row for row, _ in F.vertices) < n1)
+        assert lower == good_subcomplex(spec, q, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +550,7 @@ def test_builders_match_the_whole_tuple_rules(q):
         for l in range(low, 6):
             assert build(l, q) == _ruled(range(count(l)), q, keep)
             rows = rng.sample(range(3, 60), count(l))  # shuffled, not contiguous
-            assert build(l, q, rows) == _ruled(rows, q, keep)
+            assert coloring_complex(rows, q, family(l).edges_on(rows)) == _ruled(rows, q, keep)
     for n in range(1, 7):
         for rows in (range(n), rng.sample(range(3, 60), n)):
             assert assignment_complex(rows, q) == _ruled(rows, q, lambda cols: True)
@@ -562,9 +560,7 @@ def test_builders_match_the_whole_tuple_rules(q):
 def test_good_subcomplex_factors_match_the_old_family_builds(q):
     n = {d: (d + 1) * (q - 1) + 1 for d in (1, 2)}
     for d in (1, 2):
-        for spec in drivers._admissible_specs(q, d):
-            if not _within_budget(spec, q):
-                continue
+        for spec in _campaign_specs(q, d):
             expected = []
             off = 0
             for part in spec.parts:
@@ -572,4 +568,4 @@ def test_good_subcomplex_factors_match_the_old_family_builds(q):
                 expected.append(_old_factor(part, rows, q))
                 off += len(rows)
             expected += [_ruled([row], q, lambda cols: True) for row in range(off, n[d])]
-            assert good_subcomplex(spec, q, d).factors == expected
+            assert good_subcomplex(spec, q, d) == tuple(expected)

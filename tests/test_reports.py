@@ -39,6 +39,10 @@ PINNED = {
         ["complex", "--check", "chessboard", "--max", "6"],
         "489cbcd84c203575cf76f60e7600a80f98d2e3710a8dcdf8433dae7c10335a2e",
     ),
+    "complex-chessboard-7": (
+        ["complex", "--check", "chessboard", "--max", "7"],
+        "85f0258765ad993b02f1327f8b9a4af846fb3cdd56f6d910313e7f896a5609b9",
+    ),
     "complex-lemmas": (
         ["complex", "--check", "lemmas"],
         "d12e72a4290feef79b5d3c0eb6930a0b3b7f57d89a6b0b28759a6c2939f77785",
