@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Every command prints one JSON report to stdout (schema 1) and exits 0 iff
-all checks in the report passed.  Usage errors exit 2; degenerate input
-exits 3.  Reports are byte-identical for identical (command, flags, seed);
+all checks in the report passed.  Usage errors exit 2, degenerate input 3,
+and a stdout closed before the report is written 141 (as after SIGPIPE).
+Reports are byte-identical for identical (command, flags, seed);
 wall-clock time is only included behind --timing.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -27,7 +29,7 @@ from .constraints import (
 )
 from .errors import Degenerate, InvalidParameters, TverlabError
 from .geometry import PointConfiguration
-from .partitions import enumerate_candidate_partitions
+from .partitions import enumerate_candidate_partitions, point_count
 from .svg import render_svg
 from .tverberg import counting_report, tverberg_records
 
@@ -91,7 +93,8 @@ def _load_config(path) -> PointConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations; each returns (report_dict, ok)
+# Command implementations; each returns its report, which lists the flags the
+# command read.  A report with an "ok" key exits 1 when it is false.
 
 def cmd_enumerate(args):
     if args.input:
@@ -99,9 +102,9 @@ def cmd_enumerate(args):
         records = tverberg_records(config)
         report = counting_report(config, records=records)
         report["records"] = [_record_dict(r) for r in records]
-        return report, report["ok"]
-    n = (args.d + 1) * (args.q - 1) + 1
-    candidates = enumerate_candidate_partitions(n, args.q, args.d)
+        return report
+    n = point_count(args.d, args.q)
+    candidates = enumerate_candidate_partitions(args.d, args.q)
     listed = list(islice(candidates, MAX_LISTED))
     count = len(listed) + sum(1 for _ in candidates)
     report = {
@@ -112,40 +115,40 @@ def cmd_enumerate(args):
     }
     if count <= MAX_LISTED:
         report["partitions"] = [[list(b) for b in p] for p in listed]
-    return report, True
+    return report
 
 
 def cmd_count(args):
-    report = drivers.counting_campaign(args.d, args.q, args.samples, args.seed)
-    return report, report["ok"]
+    return drivers.counting_campaign(args.d, args.q, args.samples, args.seed)
 
 
 def cmd_constrain(args):
-    if args.input:
-        config = _load_config(args.input)
-        n = len(config.points)
-        graph = _graph_for(args.graph, n) if args.graph else ConstraintGraph(n, frozenset())
-        records = tverberg_records(config)
-        kept = constrained_records(config, graph, records=records)
-        report = {
-            "d": config.d,
-            "q": config.q,
-            "edges": sorted(list(e) for e in graph.edges),
-            "T": len(records),
-            "avoiding": len(kept),
-            "records": [_record_dict(r) for r in kept],
-        }
-        return report, True
-    report = drivers.single_edge_constraint_campaign(args.samples, args.seed, d=args.d, q=args.q)
-    return report, report["ok"]
+    if not args.input:
+        if args.graph:
+            raise InvalidParameters("--graph needs --input; the single-edge campaign reads no graph")
+        return drivers.single_edge_constraint_campaign(args.samples, args.seed, d=args.d, q=args.q)
+    config = _load_config(args.input)
+    n = len(config.points)
+    graph = _graph_for(args.graph, n) if args.graph else ConstraintGraph(n, frozenset())
+    records = tverberg_records(config)
+    kept = constrained_records(config, graph, records=records)
+    return {
+        "d": config.d,
+        "q": config.q,
+        "edges": sorted(list(e) for e in graph.edges),
+        "T": len(records),
+        "avoiding": len(kept),
+        "records": [_record_dict(r) for r in kept],
+    }
 
 
 def cmd_search(args):
-    n = (args.d + 1) * (args.q - 1) + 1
-    graph = _graph_for(args.graph, n)
-    report = {"q": args.q, "d": args.d, "graph": args.graph, "budget": args.budget}
-    report.update(drivers.witness_report(args.q, args.d, graph, args.budget, args.seed))
-    return report, report["ok"]
+    graph = _graph_for(args.graph, point_count(args.d, args.q))
+    report = {
+        "d": args.d, "q": args.q, "seed": args.seed, "budget": args.budget, "graph": args.graph,
+    }
+    report.update(drivers.witness_report(args.d, args.q, graph, args.seed, args.budget))
+    return report
 
 
 def cmd_complex(args):
@@ -158,33 +161,29 @@ def cmd_complex(args):
     else:
         report = drivers.goodness_invariance_campaign()
     report["check"] = args.check
-    return report, report["ok"]
+    return report
 
 
 def cmd_verify_all(args):
-    star = (drivers.STAR_WITNESS_Q, drivers.STAR_WITNESS_D, drivers.STAR_WITNESS_GRAPH)
+    star = (drivers.STAR_WITNESS_D, drivers.STAR_WITNESS_Q, drivers.STAR_WITNESS_GRAPH)
     criteria = [
-        ("radon_baseline", lambda: drivers.radon_baseline()),
+        ("radon_baseline", drivers.radon_baseline),
         ("counting_d1_q3", lambda: drivers.counting_campaign(1, 3, args.samples, args.seed)),
         ("counting_d2_q3", lambda: drivers.counting_campaign(2, 3, args.samples, args.seed)),
         (
             "single_edge_constraints",
             lambda: drivers.single_edge_constraint_campaign(args.samples, args.seed),
         ),
-        ("star_witness_search", lambda: drivers.witness_report(*star, args.budget, args.seed)),
+        ("star_witness_search", lambda: drivers.witness_report(*star, args.seed, args.budget)),
         ("birch_counts", lambda: drivers.birch_campaign(args.samples, args.seed)),
         ("chessboard_connectivity", lambda: drivers.chessboard_connectivity_campaign(6)),
-        ("lemma_connectivity", lambda: drivers.lemma_connectivity_campaign()),
-        ("structural_identities", lambda: drivers.structural_identities_campaign()),
-        ("goodness_invariance", lambda: drivers.goodness_invariance_campaign()),
+        ("lemma_connectivity", drivers.lemma_connectivity_campaign),
+        ("structural_identities", drivers.structural_identities_campaign),
+        ("goodness_invariance", drivers.goodness_invariance_campaign),
     ]
-    results = []
-    ok = True
-    for name, run in criteria:
-        report = run()
-        ok = ok and report["ok"]
-        results.append({"criterion": name, "ok": report["ok"]})
-    return {"ok": ok, "criteria": results}, ok
+    results = [{"criterion": name, "ok": run()["ok"]} for name, run in criteria]
+    flags = {"samples": args.samples, "seed": args.seed, "budget": args.budget}
+    return {**flags, "ok": all(r["ok"] for r in results), "criteria": results}
 
 
 def cmd_render(args):
@@ -197,13 +196,12 @@ def cmd_render(args):
             fh.write(svg)
     except OSError as exc:
         raise InvalidParameters(f"cannot write {args.out}: {exc.strerror}") from exc
-    report = {
+    return {
         "input": args.input,
         "out": args.out,
         "records_drawn": len(records),
         "edges_drawn": len(graph.edges) if graph else 0,
     }
-    return report, True
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +286,26 @@ def main(argv=None):
             parser.error(f"--{key} must be >= {low}, got {getattr(args, key)}")
     started = time.monotonic()
     try:
-        body, ok = args.run(args)
+        body = args.run(args)
     except Degenerate as exc:
-        print(json.dumps({"schema": 1, "command": args.command, "error": str(exc)}, indent=2))
-        return 3
+        return _emit({"schema": 1, "command": args.command, "error": str(exc)}, 3)
     except TverlabError as exc:
         parser.exit(2, f"error: {exc}\n")
-    report = {"schema": 1, "command": args.command}
-    for key in ("d", "q", "samples", "seed", "budget"):
-        if hasattr(args, key):
-            report[key] = getattr(args, key)
-    report.update(body)
+    report = {"schema": 1, "command": args.command, **body}
     if args.timing:
         report["wall_clock"] = round(time.monotonic() - started, 3)
-    print(json.dumps(report, indent=2))
-    return 0 if ok else 1
+    return _emit(report, 0 if report.get("ok", True) else 1)
+
+
+def _emit(report, code):
+    """Print the report and return the exit code; 141 if stdout was closed."""
+    try:
+        print(json.dumps(report, indent=2), flush=True)
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the flush at interpreter exit is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from itertools import combinations, permutations
 
 from .constraints import Cycle, Path, Star, family_admissible
 from .errors import InvalidParameters, LabelCollision, LabelFormat
+from .partitions import point_count
 from .tverberg import prime_power
 
 
@@ -366,7 +367,7 @@ def vertex_orbit_sizes(K, action: GroupAction):
 # ---------------------------------------------------------------------------
 # Good subcomplexes for constraint-graph families
 
-def good_subcomplex(spec, q, d) -> tuple:
+def good_subcomplex(spec, d, q) -> tuple:
     """The invariant subcomplex avoiding a family's constraint edges, as the
     tuple of its join factors: one coloring complex per part of the family,
     then one free row per remaining row.
@@ -378,15 +379,15 @@ def good_subcomplex(spec, q, d) -> tuple:
     first row is the center, for Path/Cycle the rows follow the path/cycle
     order.
     """
-    if not family_admissible(spec, q, d):
-        raise InvalidParameters(f"{spec!r} is not an admissible family for q={q}, d={d}")
+    if not family_admissible(spec, d, q):
+        raise InvalidParameters(f"{spec!r} is not an admissible family for d={d}, q={q}")
     factors = []
     off = 0
     for part in spec.parts:
         rows = list(range(off, off + part.vertex_count()))
         factors.append(coloring_complex(rows, q, part.edges_on(rows)))
         off += len(rows)
-    for row in range(off, (d + 1) * (q - 1) + 1):
+    for row in range(off, point_count(d, q)):
         factors.append(assignment_complex([row], q))
     return tuple(factors)
 

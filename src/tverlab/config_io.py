@@ -16,7 +16,7 @@ fraction.  Labels are assigned 0..N in file order.
 
 from fractions import Fraction
 
-from .errors import ArityError, ParseError
+from .errors import ParseError
 from .geometry import PointConfiguration
 
 MIN_D, MIN_Q = 1, 2  # the smallest dimension and number of blocks accepted
@@ -58,9 +58,6 @@ def parse_configuration(text) -> PointConfiguration:
         points.append(coords)
     if d is None:
         raise ParseError("missing 'd=<int> q=<int>' header")
-    expected = (d + 1) * (q - 1) + 1
-    if len(points) != expected:
-        raise ArityError(f"d={d}, q={q} needs {expected} points, got {len(points)}")
     return PointConfiguration(d, q, tuple(points))
 
 

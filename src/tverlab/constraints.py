@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
 from .geometry import PointConfiguration, effective_general_position
-from .partitions import enumerate_candidate_partitions
+from .partitions import enumerate_candidate_partitions, point_count
 from .rng import SplitMix64
 from .tverberg import _classify, is_prime_power, tverberg_records
 
@@ -52,7 +52,7 @@ def avoids(partition, graph: ConstraintGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Family specs: constructive descriptions of the admissible families.  Each
 # connected family states its own facts: its edges, when it is admissible
-# (for prime-power q > 2 and n_labels = (d+1)(q-1)+1), and the facet count
+# (for prime-power q > 2 and n_labels = point_count(d, q)), and the facet count
 # of its good complex.  That complex is no family's own: for every graph it
 # is the proper q-colorings of its edges (complexes.coloring_complex).
 # family_admissible has already refused l <= 0.
@@ -147,8 +147,8 @@ class DisjointUnion:
         return edges
 
 
-def family_admissible(spec, q, d) -> bool:
-    """Is this family instance a known constraint graph for (q, d)?
+def family_admissible(spec, d, q) -> bool:
+    """Is this family instance a known constraint graph for (d, q)?
 
     Requires q > 2 and q a prime power (the hypothesis of the family list);
     raises NotPrimePower otherwise.
@@ -159,7 +159,7 @@ def family_admissible(spec, q, d) -> bool:
         raise InvalidParameters(f"not a family component: {spec!r}")
     if any(p.l <= 0 for p in spec.parts):
         raise InvalidParameters("family parameters must be positive")
-    n_labels = (d + 1) * (q - 1) + 1
+    n_labels = point_count(d, q)
     if spec.vertex_count() > n_labels:
         return False
     return all(p.admissible(q, n_labels) for p in spec.parts)
@@ -184,7 +184,7 @@ def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
 
     The check fills the configuration's determinant table, which its
     classification then reads without recomputing it."""
-    n = (d + 1) * (q - 1) + 1
+    n = point_count(d, q)
     while True:
         pts = tuple(
             tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d)) for _ in range(n)
@@ -194,13 +194,12 @@ def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
             return config
 
 
-def avoiding_candidates(graph: ConstraintGraph, q, d):
-    """The candidate partitions for (q, d) that avoid the graph."""
-    n = (d + 1) * (q - 1) + 1
-    return [p for p in enumerate_candidate_partitions(n, q, d) if avoids(p, graph)]
+def avoiding_candidates(graph: ConstraintGraph, d, q):
+    """The candidate partitions for (d, q) that avoid the graph."""
+    return [p for p in enumerate_candidate_partitions(d, q) if avoids(p, graph)]
 
 
-def witness_search(q, d, candidates, seed, budget):
+def witness_search(d, q, candidates, seed, budget):
     """Search for a configuration on which none of the given candidate
     partitions (`avoiding_candidates` of a constraint graph) is Tverberg.
 

@@ -43,6 +43,7 @@ from .config_io import format_scalar
 from .errors import Degenerate
 from .geometry import PointConfiguration, effective_general_position
 from .homology import homology_vanishes_through
+from .partitions import point_count
 from .rng import SplitMix64
 from .tverberg import (
     birch_records,
@@ -52,8 +53,8 @@ from .tverberg import (
 )
 
 FACTOR_FACET_BUDGET = 25_000  # goodness campaign: largest factor checked
-STAR_WITNESS_Q, STAR_WITNESS_D = 3, 2  # where K_{1,2} is inadmissible
-STAR_WITNESS_GRAPH = instantiate(Star(2), (STAR_WITNESS_D + 1) * (STAR_WITNESS_Q - 1) + 1)
+STAR_WITNESS_D, STAR_WITNESS_Q = 2, 3  # where K_{1,2} is inadmissible
+STAR_WITNESS_GRAPH = instantiate(Star(2), point_count(STAR_WITNESS_D, STAR_WITNESS_Q))
 BIRCH_PAIRS = ((1, 2), (1, 3), (2, 2))  # (d, k) of the Birch campaign
 BIRCH_COORD_BOUND = 1 << 20  # Birch sample coordinates lie in [-bound, bound]
 STRUCTURAL_MAX_L = 5  # largest l of the C/D/E facet-count checks
@@ -99,14 +100,14 @@ def counting_campaign(d, q, samples, seed):
         report["sample"] = index
         ok = ok and report["ok"]
         results.append(report)
-    return {"ok": ok, "d": d, "q": q, "samples": samples, "seed": seed, "reports": results}
+    return {"d": d, "q": q, "samples": samples, "seed": seed, "ok": ok, "reports": results}
 
 
 def single_edge_constraint_campaign(samples, seed, d=2, q=3):
     """Every single-edge constraint graph leaves at least one avoiding
     Tverberg partition, on each seeded configuration."""
     rng = SplitMix64(seed)
-    n = (d + 1) * (q - 1) + 1
+    n = point_count(d, q)
     edges = list(combinations(range(n), 2))
     violations = []
     for index in range(samples):
@@ -117,21 +118,19 @@ def single_edge_constraint_campaign(samples, seed, d=2, q=3):
             if not kept:
                 violations.append({"sample": index, "edge": edge})
     return {
-        "ok": not violations,
-        "samples": samples,
-        "edges_per_sample": len(edges),
-        "violations": violations,
+        "d": d, "q": q, "samples": samples, "seed": seed,
+        "ok": not violations, "edges_per_sample": len(edges), "violations": violations,
     }
 
 
-def witness_report(q, d, graph, budget, seed):
+def witness_report(d, q, graph, seed, budget):
     """Search for a configuration with no partition avoiding the graph, and
     check a found witness once with the exact LP oracle.
 
     `verified` is the oracle's verdict that no avoiding candidate's hulls
     meet, and `ok` follows it; a search that finds nothing is ok."""
-    candidates = avoiding_candidates(graph, q, d)
-    witness = witness_search(q, d, candidates, seed, budget)
+    candidates = avoiding_candidates(graph, d, q)
+    witness = witness_search(d, q, candidates, seed, budget)
     report = {"found": witness is not None}
     if witness is not None:
         hits = tverberg_records_oracle(witness, candidates)
@@ -250,8 +249,8 @@ def structural_identities_campaign(max_q=6):
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def _admissible_specs(q, d):
-    n_rows = (d + 1) * (q - 1) + 1
+def _admissible_specs(d, q):
+    n_rows = point_count(d, q)
     candidates = [
         family(l)
         for family, low in ((CompleteK, 2), (Star, 1), (Path, 1), (Cycle, 3))
@@ -262,7 +261,7 @@ def _admissible_specs(q, d):
         DisjointUnion((CompleteK(2), CompleteK(2))),
         DisjointUnion((CompleteK(2), Path(2))),
     ]
-    return [spec for spec in candidates if family_admissible(spec, q, d)]
+    return [spec for spec in candidates if family_admissible(spec, d, q)]
 
 
 def _goodness_rows(q):
@@ -275,11 +274,11 @@ def _goodness_rows(q):
     constraint edge lies inside one part's rows, so a row passes a check
     iff each of its factors does."""
     action = regular_prime_power_action(q)
-    n = {d: (d + 1) * (q - 1) + 1 for d in (1, 2)}
+    n = {d: point_count(d, q) for d in (1, 2)}
     specs = {
         d: [
             spec
-            for spec in _admissible_specs(q, d)
+            for spec in _admissible_specs(d, q)
             if all(p.facet_count(q) <= FACTOR_FACET_BUDGET for p in spec.parts)
         ]
         for d in (1, 2)
@@ -288,7 +287,7 @@ def _goodness_rows(q):
     rows = {}
     for spec in dict.fromkeys(specs[1] + specs[2]):
         ds = [d for d in (1, 2) if spec in specs[d]]
-        factors = good_subcomplex(spec, q, ds[-1])
+        factors = good_subcomplex(spec, ds[-1], q)
         edges = instantiate(spec, n[ds[-1]]).edges
         keys = []
         parts = list(spec.parts) + [None] * (len(factors) - len(spec.parts))

@@ -57,7 +57,3 @@ class ParseError(TverlabError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class ArityError(TverlabError):
-    pass

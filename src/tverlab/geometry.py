@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from .errors import Degenerate, DimensionMismatch, NoUniquePoint
 from .lp import clear_denominators, fraction_free_pivot, lp_feasible
+from .partitions import point_count
 
 INSIDE = "Inside"
 BOUNDARY = "Boundary"
@@ -141,7 +142,7 @@ class PointConfiguration:
     points: tuple
 
     def __post_init__(self):
-        expected = (self.d + 1) * (self.q - 1) + 1
+        expected = point_count(self.d, self.q)
         if len(self.points) != expected:
             raise DimensionMismatch(
                 f"d={self.d}, q={self.q} needs {expected} points, got {len(self.points)}"

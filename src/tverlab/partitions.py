@@ -7,8 +7,6 @@ a fresh one), so every unordered partition is produced exactly once, in a
 deterministic order.
 """
 
-from .errors import InvalidParameters
-
 
 def canonical(blocks):
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
@@ -51,10 +49,14 @@ def partitions_with_max_block(labels, q, max_size):
     yield from rec(0)
 
 
-def enumerate_candidate_partitions(n, q, d):
+def point_count(d, q):
+    """N+1 = (d+1)(q-1)+1: the points of a configuration for (d, q), the
+    vertices of the N-simplex, and the rows of its chessboard complexes."""
+    return (d + 1) * (q - 1) + 1
+
+
+def enumerate_candidate_partitions(d, q):
     """Candidate Tverberg partitions: q non-empty blocks of size <= d+1
-    covering {0..n-1}, with n = (d+1)(q-1)+1."""
-    if n != (d + 1) * (q - 1) + 1:
-        raise InvalidParameters(f"n={n} incompatible with q={q}, d={d}")
-    yield from partitions_with_max_block(range(n), q, d + 1)
+    covering the labels 0..point_count(d, q)-1."""
+    yield from partitions_with_max_block(range(point_count(d, q)), q, d + 1)
 

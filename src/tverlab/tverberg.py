@@ -203,7 +203,7 @@ def tverberg_records(config: PointConfiguration):
     if not effective_general_position(config):
         raise Degenerate("configuration not in effective general position")
     records = []
-    for partition in enumerate_candidate_partitions(config.n, config.q, config.d):
+    for partition in enumerate_candidate_partitions(config.d, config.q):
         rec = _classify(partition, config)
         if rec is not None:
             records.append(rec)
@@ -216,7 +216,7 @@ def tverberg_records_oracle(config: PointConfiguration, candidates=None):
     whose blocks' hulls meet, by one exact LP each and no type-classification
     shortcut."""
     if candidates is None:
-        candidates = enumerate_candidate_partitions(config.n, config.q, config.d)
+        candidates = enumerate_candidate_partitions(config.d, config.q)
     hits = []
     for partition in candidates:
         blocks = [[config.points[i] for i in blk] for blk in partition]

@@ -47,8 +47,8 @@ def test_criterion_4_single_edge_constraints():
 
 
 def test_criterion_5_witness_search_best_effort():
-    q, d, graph = drivers.STAR_WITNESS_Q, drivers.STAR_WITNESS_D, drivers.STAR_WITNESS_GRAPH
-    report = drivers.witness_report(q, d, graph, budget=100_000, seed=1)
+    d, q, graph = drivers.STAR_WITNESS_D, drivers.STAR_WITNESS_Q, drivers.STAR_WITNESS_GRAPH
+    report = drivers.witness_report(d, q, graph, seed=1, budget=100_000)
     print(f"  witness search: found={report['found']} (budget 100000)")
     # best-effort: found/absent is logged; a found witness must verify exactly
     _report(5, "star witness search", report["ok"])

@@ -9,7 +9,7 @@ import pytest
 
 from tverlab import cli, constraints
 from tverlab.config_io import format_scalar, parse_configuration
-from tverlab.errors import ArityError, ParseError
+from tverlab.errors import DimensionMismatch, ParseError
 
 GOOD = """\
 # demo configuration
@@ -50,7 +50,7 @@ def test_parse_fraction_coordinate():
 
 def test_parse_arity_error():
     text = "d=2 q=3\n" + "\n".join(f"{i} {i * i}" for i in range(6))
-    with pytest.raises(ArityError):
+    with pytest.raises(DimensionMismatch, match=r"^d=2, q=3 needs 7 points, got 6$"):
         parse_configuration(text)
 
 
@@ -116,6 +116,11 @@ def test_usage_error_exit_2():
         pytest.param(("search", "--q", "3", "--d", "2", "--graph", "edges:0-x"), {}, id="edge"),
         pytest.param(("constrain", "--input", "no-such-file.cfg"), {}, id="missing-input"),
         pytest.param(
+            ("constrain", "--graph", "star2", "--samples", "1", "--seed", "3"),
+            {},
+            id="graph-without-input",
+        ),
+        pytest.param(
             ("complex", "--check", "lemmas"), {"TVERBERG_FACE_BUDGET": "many"}, id="bad-budget"
         ),
         pytest.param(("count", "--d", "0", "--q", "3", "--samples", "1"), {}, id="d0"),
@@ -155,6 +160,31 @@ def test_bad_input_exit_2(args, env, tmp_path):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # The report (about 130 kB) outgrows the pipe, so its writer is still
+    # blocked when the reader closes the pipe after the first line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tverlab.cli", "count", "--d", "1", "--q", "3",
+         "--samples", "400", "--seed", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert stderr == ""
+
+
+def test_constrain_input_reports_only_the_flags_it_read(tmp_path, capsys):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(GOOD)
+    assert cli.main(["constrain", "--input", str(cfg), "--samples", "9", "--seed", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["schema", "command", "d", "q", "edges", "T", "avoiding", "records"]
 
 
 def test_enumerate_input_exit_code_follows_checks(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from operator import ne
 
 import pytest
 
-from tverlab import drivers
+from tverlab import complexes, drivers
 
 from tverlab.complexes import (
     GroupAction,
@@ -34,6 +34,7 @@ from tverlab.complexes import (
 )
 from tverlab.constraints import CompleteK, Cycle, DisjointUnion, Path, Star, instantiate
 from tverlab.errors import InvalidParameters, LabelCollision, LabelFormat
+from tverlab.partitions import point_count
 
 
 def test_facets_form_antichain():
@@ -210,7 +211,7 @@ def test_goodness_star_complex():
 
 
 def test_good_subcomplex_k2_q3_d1():
-    factors = good_subcomplex(CompleteK(2), 3, 1)
+    factors = good_subcomplex(CompleteK(2), 1, 3)
     assert [len(F.facets) for F in factors] == [6, 3, 3, 3]
     L = functools.reduce(join, factors)
     assert len(L.facets) == 162
@@ -233,18 +234,18 @@ def test_goodness_fails_on_join_inner_pair():
 
 
 def test_good_subcomplex_union():
-    L = functools.reduce(join, good_subcomplex(DisjointUnion((CompleteK(2), CompleteK(2))), 3, 2))
+    L = functools.reduce(join, good_subcomplex(DisjointUnion((CompleteK(2), CompleteK(2))), 2, 3))
     assert goodness_check(L, [(0, 1), (2, 3)])
     assert invariance_check(L, regular_prime_power_action(3))
 
 
 def test_good_subcomplex_rejects_inadmissible():
     with pytest.raises(InvalidParameters):
-        good_subcomplex(Star(2), 3, 2)
+        good_subcomplex(Star(2), 2, 3)
 
 
 def test_vertex_orbits_size_q():
-    L = functools.reduce(join, good_subcomplex(Star(1), 4, 1))
+    L = functools.reduce(join, good_subcomplex(Star(1), 1, 4))
     assert vertex_orbit_sizes(L, regular_prime_power_action(4)) == [4] * len(
         set(v[0] for v in L.vertices)
     )
@@ -264,6 +265,25 @@ def test_intersection_identities_3_5():
 def test_intersection_identities_5_5():
     report = verify_intersection_identities(5, 5)
     assert report["ok"]
+
+
+def test_intersection_identities_name_an_offending_face(monkeypatch):
+    # A stray vertex in D^1_{l-2} lands on the right-hand sides of eq4 (k=1)
+    # and eq5 only, and is then the one face they get wrong.
+    real = complexes.d_subcomplexes
+
+    def with_stray_vertex(l, q):
+        subs = real(l, q)
+        if l == 1:
+            subs[1] = SimplicialComplex(subs[1].facets | {frozenset({(99, 1)})})
+        return subs
+
+    monkeypatch.setattr(complexes, "d_subcomplexes", with_stray_vertex)
+    report = verify_intersection_identities(3, 5)
+    failed = [entry for entry in report["identities"] if not entry["ok"]]
+    assert [entry["name"] for entry in failed] == ["D eq4 k=1", "D eq5"]
+    assert all(entry["offending_face"] == [(99, 1)] for entry in failed)
+    assert report["ok"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +445,10 @@ def test_goodness_finds_a_column_shared_across_join_factors():
 WHOLE_JOIN_FACETS = 15_000  # largest good subcomplex built as one join
 
 
-def _campaign_specs(q, d):
+def _campaign_specs(d, q):
     return [
         spec
-        for spec in drivers._admissible_specs(q, d)
+        for spec in drivers._admissible_specs(d, q)
         if all(p.facet_count(q) <= drivers.FACTOR_FACET_BUDGET for p in spec.parts)
     ]
 
@@ -436,7 +456,7 @@ def _campaign_specs(q, d):
 def _row(q, d, spec, complexes, invariance=invariance_check):
     """A campaign row that passes a check iff each of `complexes` does."""
     action = regular_prime_power_action(q)
-    edges = instantiate(spec, (d + 1) * (q - 1) + 1).edges
+    edges = instantiate(spec, point_count(d, q)).edges
     return {
         "q": q,
         "d": d,
@@ -455,8 +475,8 @@ def _rows_on_whole_complexes(q, invariance=invariance_check):
     has more."""
     rows, joins = [], 0
     for d in (1, 2):
-        for spec in _campaign_specs(q, d):
-            complexes = good_subcomplex(spec, q, d)
+        for spec in _campaign_specs(d, q):
+            complexes = good_subcomplex(spec, d, q)
             if math.prod(len(F.facets) for F in complexes) <= WHOLE_JOIN_FACETS:
                 complexes = [functools.reduce(join, complexes)]
                 joins += 1
@@ -492,9 +512,9 @@ def test_campaign_edges_lie_inside_exactly_one_factor():
     # the campaign reads goodness factor by factor, which is goodness of
     # the join only when no constraint edge joins two factors
     for q, d in product((3, 4, 5), (1, 2)):
-        n = (d + 1) * (q - 1) + 1
-        for spec in _campaign_specs(q, d):
-            factor_rows = [{row for row, _ in F.vertices} for F in good_subcomplex(spec, q, d)]
+        n = point_count(d, q)
+        for spec in _campaign_specs(d, q):
+            factor_rows = [{row for row, _ in F.vertices} for F in good_subcomplex(spec, d, q)]
             for edge in instantiate(spec, n).edges:
                 assert sum(rows.issuperset(edge) for rows in factor_rows) == 1, (q, d, spec, edge)
 
@@ -503,11 +523,11 @@ def test_campaign_edges_lie_inside_exactly_one_factor():
 def test_good_subcomplex_at_d1_is_its_d2_factors_on_the_lower_rows(q):
     # the campaign builds each spec once, at d = 2, and reads d = 1 from it
     n1 = 2 * (q - 1) + 1
-    for spec in _campaign_specs(q, 1):
-        assert spec in drivers._admissible_specs(q, 2)
-        wide = good_subcomplex(spec, q, 2)
+    for spec in _campaign_specs(1, q):
+        assert spec in drivers._admissible_specs(2, q)
+        wide = good_subcomplex(spec, 2, q)
         lower = tuple(F for F in wide if max(row for row, _ in F.vertices) < n1)
-        assert lower == good_subcomplex(spec, q, 1)
+        assert lower == good_subcomplex(spec, 1, q)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +578,9 @@ def test_builders_match_the_whole_tuple_rules(q):
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_good_subcomplex_factors_match_the_old_family_builds(q):
-    n = {d: (d + 1) * (q - 1) + 1 for d in (1, 2)}
+    n = {d: point_count(d, q) for d in (1, 2)}
     for d in (1, 2):
-        for spec in _campaign_specs(q, d):
+        for spec in _campaign_specs(d, q):
             expected = []
             off = 0
             for part in spec.parts:
@@ -568,4 +588,4 @@ def test_good_subcomplex_factors_match_the_old_family_builds(q):
                 expected.append(_old_factor(part, rows, q))
                 off += len(rows)
             expected += [_ruled([row], q, lambda cols: True) for row in range(off, n[d])]
-            assert good_subcomplex(spec, q, d) == tuple(expected)
+            assert good_subcomplex(spec, d, q) == tuple(expected)

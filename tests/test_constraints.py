@@ -18,6 +18,7 @@ from tverlab.constraints import (
     witness_search,
 )
 from tverlab.errors import Degenerate, NotPrimePower
+from tverlab.partitions import point_count
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import tverberg_records, tverberg_records_oracle
 
@@ -54,31 +55,31 @@ def test_avoids_monotone(edges, extra):
 
 
 def test_family_admissible_k2_q3():
-    assert family_admissible(CompleteK(2), 3, 2)
+    assert family_admissible(CompleteK(2), 2, 3)
 
 
 def test_family_admissible_star2_q3_false():
-    assert not family_admissible(Star(2), 3, 2)
+    assert not family_admissible(Star(2), 2, 3)
 
 
 def test_family_admissible_cycle4_q4_false():
-    assert not family_admissible(Cycle(4), 4, 2)
+    assert not family_admissible(Cycle(4), 2, 4)
 
 
 def test_family_admissible_star_boundary():
     for q in (3, 4, 5, 7, 8, 9):
         for l in range(1, q + 1):
-            assert family_admissible(Star(l), q, 2) == (l < q - 1)
+            assert family_admissible(Star(l), 2, q) == (l < q - 1)
 
 
 def test_family_admissible_rejects_non_prime_power():
     with pytest.raises(NotPrimePower):
-        family_admissible(CompleteK(2), 6, 2)
+        family_admissible(CompleteK(2), 2, 6)
 
 
 def test_family_admissible_union():
     union = DisjointUnion((CompleteK(2), CompleteK(2)))
-    assert family_admissible(union, 3, 2)
+    assert family_admissible(union, 2, 3)
 
 
 def test_instantiate_star():
@@ -123,13 +124,13 @@ def test_d1_q3_constraint_postcondition():
     "q,d", [(3, 1), (3, 2), (4, 1)]
 )
 def test_admissible_families_leave_records(q, d):
-    n = (d + 1) * (q - 1) + 1
+    n = point_count(d, q)
     specs = [CompleteK(2)]
     if q >= 4:
         specs += [Star(1), Star(2), Path(1), Path(2)]
     config, records = _sample(d, q, 8)
     for spec in specs:
-        if not family_admissible(spec, q, d):
+        if not family_admissible(spec, d, q):
             continue
         g = instantiate(spec, n)
         assert constrained_records(config, g, records=records)
@@ -137,26 +138,26 @@ def test_admissible_families_leave_records(q, d):
 
 def test_witness_search_budget_zero():
     g = instantiate(Star(2), 7)
-    assert witness_search(3, 2, avoiding_candidates(g, 3, 2), seed=1, budget=0) is None
+    assert witness_search(2, 3, avoiding_candidates(g, 2, 3), seed=1, budget=0) is None
 
 
 def test_witness_search_single_edge_absent():
     # K_2 is a constraint graph, so no witness can exist
     g = ConstraintGraph(7, frozenset([(0, 1)]))
-    assert witness_search(3, 2, avoiding_candidates(g, 3, 2), seed=1, budget=60) is None
+    assert witness_search(2, 3, avoiding_candidates(g, 2, 3), seed=1, budget=60) is None
 
 
 def test_witness_search_star2_finds_and_verifies():
     g = instantiate(Star(2), 7)
-    candidates = avoiding_candidates(g, 3, 2)
-    witness = witness_search(3, 2, candidates, seed=1, budget=5000)
+    candidates = avoiding_candidates(g, 2, 3)
+    witness = witness_search(2, 3, candidates, seed=1, budget=5000)
     assert witness is not None
     assert constrained_records(witness, g) == []
     assert tverberg_records_oracle(witness, candidates) == []
 
 
 def test_witness_search_deterministic():
-    candidates = avoiding_candidates(instantiate(Star(2), 7), 3, 2)
-    a = witness_search(3, 2, candidates, seed=1, budget=5000)
-    b = witness_search(3, 2, candidates, seed=1, budget=5000)
+    candidates = avoiding_candidates(instantiate(Star(2), 7), 2, 3)
+    a = witness_search(2, 3, candidates, seed=1, budget=5000)
+    b = witness_search(2, 3, candidates, seed=1, budget=5000)
     assert a == b

@@ -91,7 +91,7 @@ def test_records_match_lp_oracle(d, q, seed, rational):
 def test_boundary_verdicts_match_lp_oracle(build):
     config, _ = build()
     refused = 0
-    for partition in enumerate_candidate_partitions(config.n, config.q, config.d):
+    for partition in enumerate_candidate_partitions(config.d, config.q):
         blocks = [[config.points[i] for i in blk] for blk in partition]
         meet = common_point(blocks, config.d) is not None
         try:

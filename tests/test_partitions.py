@@ -1,17 +1,16 @@
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tverlab.errors import InvalidParameters
 from tverlab.partitions import (
     canonical,
     enumerate_candidate_partitions,
     partitions_with_max_block,
+    point_count,
 )
 
 
 def test_radon_candidates():
-    parts = list(enumerate_candidate_partitions(3, 2, 1))
+    parts = list(enumerate_candidate_partitions(1, 2))
     assert len(parts) == 3
     assert ((0, 1), (2,)) in parts
     assert ((0, 2), (1,)) in parts
@@ -19,7 +18,7 @@ def test_radon_candidates():
 
 
 def test_candidate_count_7_3_2():
-    parts = list(enumerate_candidate_partitions(7, 3, 2))
+    parts = list(enumerate_candidate_partitions(2, 3))
     assert len(parts) == 175
     # shape census: {1,3,3} and {2,2,3}
     shapes = {}
@@ -30,16 +29,11 @@ def test_candidate_count_7_3_2():
 
 
 def test_candidate_count_5_3_1():
-    assert len(list(enumerate_candidate_partitions(5, 3, 1))) == 15
-
-
-def test_wrong_label_count_rejected():
-    with pytest.raises(InvalidParameters):
-        list(enumerate_candidate_partitions(6, 3, 2))
+    assert len(list(enumerate_candidate_partitions(1, 3))) == 15
 
 
 def test_partitions_are_canonical_and_unique():
-    parts = list(enumerate_candidate_partitions(7, 3, 2))
+    parts = list(enumerate_candidate_partitions(2, 3))
     assert len(set(parts)) == len(parts)
     for p in parts:
         assert canonical(p) == p
@@ -48,13 +42,14 @@ def test_partitions_are_canonical_and_unique():
 
 
 def test_stream_deterministic():
-    a = list(enumerate_candidate_partitions(7, 3, 2))
-    b = list(enumerate_candidate_partitions(7, 3, 2))
+    a = list(enumerate_candidate_partitions(2, 3))
+    b = list(enumerate_candidate_partitions(2, 3))
     assert a == b
 
 
 def test_blocks_cover_labels_with_size_cap():
-    for p in enumerate_candidate_partitions(7, 3, 2):
+    assert point_count(2, 3) == 7
+    for p in enumerate_candidate_partitions(2, 3):
         labels = sorted(x for b in p for x in b)
         assert labels == list(range(7))
         assert all(1 <= len(b) <= 3 for b in p)
@@ -68,7 +63,7 @@ def test_equal_size_partitions_pairing():
 
 
 # (n, q, cap): the candidate shapes n = (d+1)(q-1)+1, cap = d+1 for
-# (q, d) in (2, 1), (2, 2), (3, 1), (3, 2), (4, 1); and n = q * cap, where
+# (d, q) in (1, 2), (2, 2), (1, 3), (2, 3), (1, 4); and n = q * cap, where
 # the partitions are the equal-size ones (Birch partitions), e.g. the 3
 # pairings of 4 labels.
 @given(st.sampled_from([(3, 2, 2), (4, 2, 3), (5, 3, 2), (7, 3, 3), (7, 4, 2), (4, 2, 2)]))

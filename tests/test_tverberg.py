@@ -68,8 +68,7 @@ SMALL_PAIRS = [
 
 @pytest.mark.parametrize("d,q", SMALL_PAIRS)
 def test_every_candidate_fits_a_type(d, q):
-    n = (d + 1) * (q - 1) + 1
-    for partition in enumerate_candidate_partitions(n, q, d):
+    for partition in enumerate_candidate_partitions(d, q):
         low = [len(b) for b in partition if len(b) <= d]
         full = len(partition) - len(low)
         type_one = low == [1] and full == q - 1
@@ -164,6 +163,21 @@ def test_counting_report_d2_q3():
     assert report["checks"]["sierksma"]["bound"] == 4
     assert report["T"] >= 4
     assert report["ok"]
+
+
+def test_counting_report_says_no_to_an_odd_count():
+    # q > d+1, so T(X) is even; one record fewer makes it odd.
+    config, records = _sample(1, 3, 11)
+    report = counting_report(config, records=records[1:])
+    assert report["checks"]["evenness"] == {"applies": True, "ok": False}
+    assert not report["ok"]
+
+
+def test_counting_report_says_no_below_sierksma():
+    config, records = _sample(2, 3, 12)
+    report = counting_report(config, records=records[:3])
+    assert report["checks"]["sierksma"] == {"bound": 4, "ok": False}
+    assert not report["ok"]
 
 
 @given(st.permutations(range(7)))
