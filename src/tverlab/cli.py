@@ -34,6 +34,7 @@ from .svg import render_svg
 from .tverberg import counting_report, tverberg_records
 
 MAX_LISTED = 200  # `enumerate` lists the candidates only up to this many
+DEFAULT_MAX = 6  # `complex --max` for chessboard and identities when not given
 
 GRAPH_COMPONENTS = {
     "k": CompleteK,
@@ -58,6 +59,9 @@ def parse_graph_spec(text):
 
 
 def _graph_for(spec_text, n):
+    """The graph a --graph value names on n points; no value, no edges."""
+    if spec_text is None:
+        return ConstraintGraph(n, frozenset())
     if spec_text.startswith("edges:"):
         edges = []
         for token in spec_text[len("edges:") :].split(","):
@@ -97,12 +101,6 @@ def _load_config(path) -> PointConfiguration:
 # command read.  A report with an "ok" key exits 1 when it is false.
 
 def cmd_enumerate(args):
-    if args.input:
-        config = _load_config(args.input)
-        records = tverberg_records(config)
-        report = counting_report(config, records=records)
-        report["records"] = [_record_dict(r) for r in records]
-        return report
     n = point_count(args.d, args.q)
     candidates = enumerate_candidate_partitions(args.d, args.q)
     listed = list(islice(candidates, MAX_LISTED))
@@ -118,28 +116,26 @@ def cmd_enumerate(args):
     return report
 
 
+def cmd_classify(args):
+    """The counting report, then the records that avoid the graph.  `ok` is the
+    counting checks' alone: an inadmissible graph may leave no record."""
+    config = _load_config(args.input)
+    graph = _graph_for(args.graph, len(config.points))
+    records = tverberg_records(config)
+    kept = constrained_records(config, graph, records=records)
+    report = counting_report(config, records=records)
+    report["edges"] = sorted(list(e) for e in graph.edges)
+    report["avoiding"] = len(kept)
+    report["records"] = [_record_dict(r) for r in kept]
+    return report
+
+
 def cmd_count(args):
     return drivers.counting_campaign(args.d, args.q, args.samples, args.seed)
 
 
 def cmd_constrain(args):
-    if not args.input:
-        if args.graph:
-            raise InvalidParameters("--graph needs --input; the single-edge campaign reads no graph")
-        return drivers.single_edge_constraint_campaign(args.samples, args.seed, d=args.d, q=args.q)
-    config = _load_config(args.input)
-    n = len(config.points)
-    graph = _graph_for(args.graph, n) if args.graph else ConstraintGraph(n, frozenset())
-    records = tverberg_records(config)
-    kept = constrained_records(config, graph, records=records)
-    return {
-        "d": config.d,
-        "q": config.q,
-        "edges": sorted(list(e) for e in graph.edges),
-        "T": len(records),
-        "avoiding": len(kept),
-        "records": [_record_dict(r) for r in kept],
-    }
+    return drivers.single_edge_constraint_campaign(args.samples, args.seed, d=args.d, q=args.q)
 
 
 def cmd_search(args):
@@ -152,12 +148,15 @@ def cmd_search(args):
 
 
 def cmd_complex(args):
+    size = DEFAULT_MAX if args.max is None else args.max
     if args.check == "chessboard":
-        report = drivers.chessboard_connectivity_campaign(args.max)
+        report = drivers.chessboard_connectivity_campaign(size)
+    elif args.check == "identities":
+        report = drivers.structural_identities_campaign(max_q=size)
+    elif args.max is not None:
+        raise InvalidParameters(f"--check {args.check} reads no --max")
     elif args.check == "lemmas":
         report = drivers.lemma_connectivity_campaign()
-    elif args.check == "identities":
-        report = drivers.structural_identities_campaign(max_q=args.max)
     else:
         report = drivers.goodness_invariance_campaign()
     report["check"] = args.check
@@ -189,7 +188,7 @@ def cmd_verify_all(args):
 def cmd_render(args):
     config = _load_config(args.input)
     records = tverberg_records(config)[: args.records]
-    graph = _graph_for(args.graph, len(config.points)) if args.graph else None
+    graph = _graph_for(args.graph, len(config.points))
     svg = render_svg(config, records=records, graph=graph)
     try:
         with open(args.out, "w") as fh:
@@ -200,7 +199,7 @@ def cmd_render(args):
         "input": args.input,
         "out": args.out,
         "records_drawn": len(records),
-        "edges_drawn": len(graph.edges) if graph else 0,
+        "edges_drawn": len(graph.edges),
     }
 
 
@@ -211,11 +210,15 @@ def build_parser():
     parser.add_argument("--timing", action="store_true", help="include wall-clock seconds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="candidate partitions, or records of a configuration")
+    p = sub.add_parser("enumerate", help="candidate partitions for (d, q)")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--q", type=int, default=3)
-    p.add_argument("--input", help="configuration file to classify")
     p.set_defaults(run=cmd_enumerate)
+
+    p = sub.add_parser("classify", help="Tverberg records of a configuration that avoid a graph")
+    p.add_argument("--input", required=True, help="configuration file")
+    p.add_argument("--graph", help="family spec (star2, k2+path2, ...) or edges:0-1,2-3")
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("count", help="seeded counting campaign")
     p.add_argument("--d", type=int, required=True)
@@ -224,13 +227,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=cmd_count)
 
-    p = sub.add_parser("constrain", help="constrained counts, or the single-edge campaign")
+    p = sub.add_parser("constrain", help="seeded single-edge constraint campaign")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", help="configuration file")
-    p.add_argument("--graph", help="family spec (star2, k2+path2, ...) or edges:0-1,2-3")
     p.set_defaults(run=cmd_constrain)
 
     p = sub.add_parser("search", help="witness search for a constraint graph")
@@ -250,9 +251,8 @@ def build_parser():
     p.add_argument(
         "--max",
         type=int,
-        default=6,
-        help="largest m and n for chessboard, largest q for identities; "
-        "lemmas and goodness ignore it",
+        help=f"largest m and n for chessboard, largest q for identities (default {DEFAULT_MAX}); "
+        "lemmas and goodness refuse it",
     )
     p.set_defaults(run=cmd_complex)
 
@@ -282,8 +282,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     for key, low in FLAG_MINIMUMS.items():
-        if getattr(args, key, low) < low:
-            parser.error(f"--{key} must be >= {low}, got {getattr(args, key)}")
+        value = getattr(args, key, None)
+        if value is not None and value < low:
+            parser.error(f"--{key} must be >= {low}, got {value}")
     started = time.monotonic()
     try:
         body = args.run(args)

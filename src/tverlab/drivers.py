@@ -16,7 +16,7 @@ from .constraints import (
     Path,
     Star,
     avoiding_candidates,
-    avoids,
+    constrained_records,
     family_admissible,
     instantiate,
     sample_configuration,
@@ -114,8 +114,7 @@ def single_edge_constraint_campaign(samples, seed, d=2, q=3):
         config, records = sample_classified_configuration(d, q, rng)
         for edge in edges:
             graph = ConstraintGraph(n, frozenset([edge]))
-            kept = [r for r in records if avoids(r.partition, graph)]
-            if not kept:
+            if not constrained_records(config, graph, records=records):
                 violations.append({"sample": index, "edge": edge})
     return {
         "d": d, "q": q, "samples": samples, "seed": seed,

@@ -13,30 +13,18 @@
 
 Only the skeleton a computation reads is built: homology through
 dimension k builds the faces of dimensions 0..k+1, one dimension at a time
-from the facets.  A computation that builds more than `face_budget()` faces
-(default 200000, overridable via the TVERBERG_FACE_BUDGET environment
-variable) is refused, to keep desk-scale runs bounded.
+from the facets.  A computation that builds more than `FACE_BUDGET` faces
+is refused, to keep desk-scale runs bounded.
 """
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import BudgetExceeded, InvalidParameters
+from .errors import BudgetExceeded
 from .complexes import SimplicialComplex
 
-DEFAULT_FACE_BUDGET = 200_000
-
-
-def face_budget():
-    value = os.environ.get("TVERBERG_FACE_BUDGET")
-    if not value:
-        return DEFAULT_FACE_BUDGET
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise InvalidParameters(f"TVERBERG_FACE_BUDGET={value!r} is not an integer") from exc
+FACE_BUDGET = 200_000  # most faces one computation may build
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +178,6 @@ def boundary_matrices(K: SimplicialComplex, top):
     their dimension-(i-1) boundary; matrices[0] is the augmentation into
     the empty face.
     """
-    budget = face_budget()
     rank = {v: i for i, v in enumerate(sorted(K.vertices))}
     facets = [sorted(map(rank.__getitem__, f)) for f in K.facets]
     by_dim, matrices = {}, {}
@@ -199,8 +186,8 @@ def boundary_matrices(K: SimplicialComplex, top):
     for dim in range(min(top, K.dim) + 1):
         faces = {s for f in facets for s in combinations(f, dim + 1)}
         built += len(faces)
-        if built > budget:
-            raise BudgetExceeded(f"{built} faces exceed the budget {budget}")
+        if built > FACE_BUDGET:
+            raise BudgetExceeded(f"{built} faces exceed the budget {FACE_BUDGET}")
         faces = sorted(faces)
         # combinations drops the last vertex first: signs (-1)^dim .. (-1)^0
         signs = [(-1) ** j for j in range(dim, -1, -1)]

@@ -114,15 +114,21 @@ def test_usage_error_exit_2():
     [
         pytest.param(("search", "--q", "3", "--d", "2", "--graph", "blob3"), {}, id="family"),
         pytest.param(("search", "--q", "3", "--d", "2", "--graph", "edges:0-x"), {}, id="edge"),
-        pytest.param(("constrain", "--input", "no-such-file.cfg"), {}, id="missing-input"),
+        pytest.param(("classify", "--input", "no-such-file.cfg"), {}, id="missing-input"),
+        # Each command refuses every flag it does not read.
+        pytest.param(("enumerate", "--input", "{cfg}"), {}, id="enumerate-input"),
+        pytest.param(("constrain", "--input", "{cfg}"), {}, id="constrain-input"),
         pytest.param(
             ("constrain", "--graph", "star2", "--samples", "1", "--seed", "3"),
             {},
             id="graph-without-input",
         ),
-        pytest.param(
-            ("complex", "--check", "lemmas"), {"TVERBERG_FACE_BUDGET": "many"}, id="bad-budget"
-        ),
+        pytest.param(("classify", "--input", "{cfg}", "--d", "2"), {}, id="classify-d"),
+        pytest.param(("classify", "--input", "{cfg}", "--q", "3"), {}, id="classify-q"),
+        pytest.param(("classify", "--input", "{cfg}", "--samples", "9"), {}, id="classify-samples"),
+        pytest.param(("classify", "--input", "{cfg}", "--seed", "4"), {}, id="classify-seed"),
+        pytest.param(("complex", "--check", "lemmas", "--max", "3"), {}, id="lemmas-max"),
+        pytest.param(("complex", "--check", "goodness", "--max", "3"), {}, id="goodness-max"),
         pytest.param(("count", "--d", "0", "--q", "3", "--samples", "1"), {}, id="d0"),
         pytest.param(("count", "--d", "2", "--q", "1", "--samples", "1"), {}, id="q1"),
         pytest.param(("count", "--d", "2", "--q", "3", "--samples", "-1"), {}, id="samples-1"),
@@ -140,7 +146,7 @@ def test_usage_error_exit_2():
             id="records-1",
         ),
         pytest.param(("render", "--input", "{cfg}", "--out", "{dir}"), {}, id="out-directory"),
-        pytest.param(("enumerate", "--input", "{bad}"), {}, id="enumerate-not-utf8"),
+        pytest.param(("classify", "--input", "{bad}"), {}, id="classify-not-utf8"),
         pytest.param(("render", "--input", "{bad}", "--out", "{out}"), {}, id="render-not-utf8"),
         pytest.param(
             ("render", "--input", "{cfg}", "--out", "{dir}/no-such-dir/demo.svg"),
@@ -179,21 +185,68 @@ def test_closed_stdout_exits_141_without_traceback():
     assert stderr == ""
 
 
-def test_constrain_input_reports_only_the_flags_it_read(tmp_path, capsys):
+# The flags each command reads; every other flag of the CLI is a usage error.
+READS = {
+    "enumerate": {"--d", "--q"},
+    "constrain": {"--d", "--q", "--samples", "--seed"},
+    "classify": {"--input", "--graph"},
+}
+ALL_FLAGS = {
+    "--d", "--q", "--samples", "--seed", "--input", "--graph", "--budget", "--check", "--max",
+    "--out", "--records",
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_commands_refuse_every_flag_they_do_not_read(command, tmp_path, capsys):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text(GOOD)
-    assert cli.main(["constrain", "--input", str(cfg), "--samples", "9", "--seed", "4"]) == 0
+    base = [command, "--input", str(cfg)] if command == "classify" else [command]
+    for flag in sorted(ALL_FLAGS - READS[command]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*base, flag, "1"])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_classify_report_has_one_shape(tmp_path, capsys):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(GOOD)
+    assert cli.main(["classify", "--input", str(cfg)]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert cli.main(["classify", "--input", str(cfg), "--graph", "k2"]) == 0
+    constrained = json.loads(capsys.readouterr().out)
+    keys = ["schema", "command", "d", "q", "T", "histogram", "checks", "ok", "edges", "avoiding",
+            "records"]
+    assert list(plain) == list(constrained) == keys
+    # With no graph every record avoids it.
+    assert plain["edges"] == []
+    assert plain["avoiding"] == plain["T"] == len(plain["records"])
+
+
+def test_classify_with_star2_lists_exactly_the_constrained_records(tmp_path, capsys):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(GOOD)
+    assert cli.main(["classify", "--input", str(cfg), "--graph", "star2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert list(report) == ["schema", "command", "d", "q", "edges", "T", "avoiding", "records"]
+    config = parse_configuration(GOOD)
+    graph = constraints.instantiate(constraints.Star(2), len(config.points))
+    kept = constraints.constrained_records(config, graph)
+    assert report["edges"] == sorted(list(e) for e in graph.edges)
+    assert report["avoiding"] == len(kept)
+    assert [r["partition"] for r in report["records"]] == [
+        [list(b) for b in r.partition] for r in kept
+    ]
+    assert report["avoiding"] < report["T"]
 
 
-def test_enumerate_input_exit_code_follows_checks(tmp_path, monkeypatch, capsys):
+def test_classify_exit_code_follows_checks(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text(GOOD)
-    assert cli.main(["enumerate", "--input", str(cfg)]) == 0
+    assert cli.main(["classify", "--input", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
     monkeypatch.setattr(cli, "tverberg_records", lambda config: [])
-    assert cli.main(["enumerate", "--input", str(cfg)]) == 1
+    assert cli.main(["classify", "--input", str(cfg)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["T"] == 0
     assert not report["checks"]["lower_bound_(q-d)!"]["ok"]
@@ -206,15 +259,16 @@ def test_readme_configuration_classifies(tmp_path, capsys):
     block = after.split("```", 2)[1]
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(block)
-    assert cli.main(["enumerate", "--input", str(cfg)]) == 0
+    assert cli.main(["classify", "--input", str(cfg)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["T"] == 4 and report["histogram"] == {"I": 2, "II(2)": 2}
+    assert report["avoiding"] == 4
 
 
 def test_degenerate_exit_3(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("d=1 q=2\n0\n1\n1\n")
-    proc = run_cli("enumerate", "--input", str(path))
+    proc = run_cli("classify", "--input", str(path))
     assert proc.returncode == 3
     assert "error" in json.loads(proc.stdout)
 
@@ -222,7 +276,7 @@ def test_degenerate_exit_3(tmp_path):
 def test_constrain_with_graph(tmp_path):
     path = tmp_path / "demo.cfg"
     path.write_text(GOOD)
-    proc = run_cli("constrain", "--input", str(path), "--graph", "edges:0-1")
+    proc = run_cli("classify", "--input", str(path), "--graph", "edges:0-1")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["edges"] == [[0, 1]]

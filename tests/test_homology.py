@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from tverlab import homology
 from tverlab.complexes import (
     SimplicialComplex,
     chessboard,
@@ -147,7 +148,7 @@ def test_projective_plane_distinguishes_coefficients():
 
 
 def test_face_budget_enforced(monkeypatch):
-    monkeypatch.setenv("TVERBERG_FACE_BUDGET", "10")
+    monkeypatch.setattr(homology, "FACE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         reduced_homology(chessboard(4, 4))
 
@@ -155,7 +156,7 @@ def test_face_budget_enforced(monkeypatch):
 def test_face_budget_counts_the_skeleton_read(monkeypatch):
     # chessboard(5,5) has 1,545 faces, 825 of them in dimensions 0..2;
     # nu = 3, so its connectivity claim (through dimension 1) reads only those
-    monkeypatch.setenv("TVERBERG_FACE_BUDGET", "1000")
+    monkeypatch.setattr(homology, "FACE_BUDGET", 1000)
     K = chessboard(5, 5)
     assert homology_vanishes_through(K, 1)
     with pytest.raises(BudgetExceeded):
@@ -205,13 +206,6 @@ def test_boundary_matrices_on_ranks_match_vertex_tuples():
     assert {
         dim: [tuple(vertices[i] for i in face) for face in faces] for dim, faces in by_dim.items()
     } == ref_by_dim
-
-
-def test_face_budget_env_override(monkeypatch):
-    monkeypatch.setenv("TVERBERG_FACE_BUDGET", "1000000")
-    from tverlab.homology import face_budget
-
-    assert face_budget() == 1000000
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ PINNED = {
         "b0ce1751a623cc6586b93b2d9924f84a97ad14029980ee1d93ed8618fbb37cf1",
     ),
 }
-README_ENUMERATE = "47f9910644c0401316e5eefe22bf344798fd06719f5d150886a563b07f48d85d"
+README_CLASSIFY = "73d29e3c79635de1970e3bc5ff1ef3473ac2fd26751ef9c28b4079aef22513d6"
 
 
 def _digest(argv, capsys):
@@ -70,10 +70,10 @@ def test_pinned_report_bytes(case, capsys):
     assert _digest(argv, capsys) == digest
 
 
-def test_readme_enumerate_report_bytes(tmp_path, capsys):
+def test_readme_classify_report_bytes(tmp_path, capsys):
     # The configuration block under "Configuration files are exact and
-    # human-writable:" in README.md, classified by `enumerate --input`.
+    # human-writable:" in README.md, classified by `classify --input`.
     after = README.read_text().split("Configuration files are exact and human-writable:", 1)[1]
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(after.split("```", 2)[1])
-    assert _digest(["enumerate", "--input", str(cfg)], capsys) == README_ENUMERATE
+    assert _digest(["classify", "--input", str(cfg)], capsys) == README_CLASSIFY
