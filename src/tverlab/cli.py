@@ -278,20 +278,29 @@ FLAG_MINIMUMS = {
 }
 
 
-def main(argv=None):
+def _parse(argv):
+    """The checked flags.  The parser, a web of reference cycles, is garbage
+    once this returns: kept alive while a command runs, it would reach the
+    oldest GC generation and stay in memory until a full collection."""
     parser = build_parser()
     args = parser.parse_args(argv)
     for key, low in FLAG_MINIMUMS.items():
         value = getattr(args, key, None)
         if value is not None and value < low:
             parser.error(f"--{key} must be >= {low}, got {value}")
+    return args
+
+
+def main(argv=None):
+    args = _parse(argv)
     started = time.monotonic()
     try:
         body = args.run(args)
     except Degenerate as exc:
         return _emit({"schema": 1, "command": args.command, "error": str(exc)}, 3)
     except TverlabError as exc:
-        parser.exit(2, f"error: {exc}\n")
+        sys.stderr.write(f"error: {exc}\n")
+        sys.exit(2)
     report = {"schema": 1, "command": args.command, **body}
     if args.timing:
         report["wall_clock"] = round(time.monotonic() - started, 3)

@@ -1,10 +1,12 @@
-"""Enumeration of candidate partitions.
+"""Enumeration of partitions with capped block sizes: the candidate
+Tverberg partitions, and the low-block families that
+`tverberg.tverberg_records` tries.
 
 Partitions are unordered; the canonical form is a tuple of blocks sorted by
 smallest element, each block a sorted tuple of labels.  Generation places
 the smallest unassigned label first (into the lowest-indexed open block or
-a fresh one), so every unordered partition is produced exactly once, in a
-deterministic order.
+a fresh one), so every unordered partition is produced exactly once, in
+increasing order of its restricted-growth string (each label's block index).
 """
 
 
@@ -22,13 +24,12 @@ def partitions_with_max_block(labels, q, max_size):
 
     blocks = []
 
-    def rec(i):
+    def rec(i, open_slots):  # open_slots: the room left in the open blocks
         if i == n:
             if len(blocks) == q:
                 yield tuple(tuple(b) for b in blocks)
             return
         remaining = n - i
-        open_slots = sum(max_size - len(b) for b in blocks)
         missing = q - len(blocks)
         label = labels[i]
         # Place into an existing block: still need `missing` labels to open
@@ -37,16 +38,16 @@ def partitions_with_max_block(labels, q, max_size):
             for b in blocks:
                 if len(b) < max_size:
                     b.append(label)
-                    yield from rec(i + 1)
+                    yield from rec(i + 1, open_slots - 1)
                     b.pop()
         # Open a fresh block (blocks are opened in label order, which keeps
         # the emitted partition canonical).
         if missing > 0 and open_slots + missing * max_size >= remaining:
             blocks.append([label])
-            yield from rec(i + 1)
+            yield from rec(i + 1, open_slots + max_size - 1)
             blocks.pop()
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def point_count(d, q):

@@ -11,36 +11,61 @@ The canonical Tverberg point of a record is the singleton vertex (type I)
 or the affine-hull intersection point of the low-dimensional blocks
 (type II).
 
-`is_tverberg`, `tverberg_records` and `constraints.witness_search` share
-one classifier, which reads the configuration's determinant table D (see
-`geometry`) and computes with integers.  One formula gives every type's
-point: x = sum_F w_a a / sum_F w_a over the labels of the first low block
-F.  Each other low block B is completed to the simplex S_B = B u Y_B, Y_B
-the first d+1-|B| labels of F, and x lies in aff(B) iff for every y in Y_B
+Everything reads the configuration's determinant table D (see `geometry`)
+and computes with integers.  One formula gives every type's point:
+x = sum_F w_a a / sum_F w_a over the labels of the first low block F.  Each
+other low block B is completed to the simplex S_B = B u Y_B, Y_B the first
+d+1-|B| labels of F, and x lies in aff(B) iff for every y in Y_B
 
     sum_F w_a D(S_B with y -> a) = 0,
 
-|F|-1 equations in |F| unknowns.  Cramer's rule solves them: w_c = (-1)^c
-times the minor without column c, so a Type I singleton (no equations)
-gets w = [1].  With sum(w) > 0, D being linear in each homogeneous row, a
-simplex S (a full block, or S_B at B's places) has x strictly inside iff
-every sum_F w_a D(S with s_i -> a) has the sign of D(S).  A zero sum(w)
-with some w_c != 0 means the hulls meet only at infinity.  If every w_c is
-0, the equations are rank deficient, and the hulls meet in more than a
-point (Degenerate) or not at all (None) as the equations plus sum(w) = 1
-are consistent or not, which one `_reduce` decides on this cold path.
-A `Fraction` is built only for an accepted type II record's point.
+|F|-1 equations in |F| unknowns.  Cramer's rule solves them (`_low_point`):
+w_c = (-1)^c times the minor without column c, so a Type I singleton (no
+equations) gets w = [1].  With sum(w) > 0, D being linear in each
+homogeneous row, a simplex S (a full block, or S_B at B's places) has x
+strictly inside iff every sum_F w_a D(S with s_i -> a) has the sign of
+D(S) (`_inside`).  A zero sum(w) with some w_c != 0 means the hulls meet
+only at infinity.  If every w_c is 0, the equations are rank deficient,
+and the hulls meet in more than a point (Degenerate) or not at all (None)
+as the equations plus sum(w) = 1 are consistent or not, which one
+`_reduce` decides on this cold path.  A `Fraction` is built only for a
+type II point.
+
+`tverberg_records` enumerates points first.  Each (d+2)-subset U has one
+affine dependency, lambda_i = (-1)^i D(U minus u_i), nonzero in effective
+general position; its positive and negative labels are U's Radon
+partition.  A side with one label v is a type I fact (v lies inside the
+other d+1 labels' simplex), and two sides of at least 2 labels each are
+the only low pair on U whose hulls meet (type II(2)).  For k >= 3 the
+families are the partitions of each ((d+1)(k-1)+1)-subset into k blocks of
+2..d labels, each through `_low_point`.  A point's full blocks are then
+every exact cover of the remaining labels by the (d+1)-subsets that
+contain it (`_exact_covers`), and the records are sorted by the
+restricted-growth string of their partition, which is the order of
+`enumerate_candidate_partitions`.
+
+`is_tverberg` and `constraints.witness_search` classify one candidate at
+a time (`_classify`): the same `_low_point`, then `_inside` for each full
+block.
+
+The Degenerate contract is "refuse, never guess": a count is returned
+only if no decision it rests on touched a boundary.  Point-first tests a
+type II point against every (d+1)-subset of the remaining labels, so it
+refuses whenever such a point lies on the boundary of any of them, even
+where classifying the candidates one by one would have rejected every
+candidate holding that simplex for another reason first.
 
 A Birch partition of k(d+1) points around p (Birch 1959) is the same thing
 as a type I partition of the points plus p whose singleton is p, so
 `birch_records` takes a configuration with q = k+1 and p as its last point
-and asks the same classifier.
+and runs the same exact cover over the simplices that contain p.
 """
 
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import Degenerate, InvalidParameters
 from .geometry import PointConfiguration, _reduce, common_point, det, effective_general_position
@@ -49,6 +74,7 @@ from .partitions import canonical, enumerate_candidate_partitions, partitions_wi
 TYPE_I = "I"
 TYPE_II = "II"
 LOW_BOUNDARY = "intersection point on a low-block boundary"
+FULL_BOUNDARY = "intersection point on a block-hull boundary"
 
 
 @dataclass(frozen=True)
@@ -113,18 +139,16 @@ def _cramer(rows, m):
     return [(-1) ** c * det([row[:c] + row[c + 1 :] for row in rows]) for c in range(m)]
 
 
-def _classify(partition, config):
-    """The record of a candidate whose blocks are sorted label tuples, or
-    None; the configuration is in effective general position.
+def _low_point(low, table, d):
+    """(weights, total) of the point where the low blocks' hulls meet, on
+    the labels of the first low block, with total = sum(weights) > 0; or
+    None if the hulls do not meet.  The blocks are sorted label tuples in
+    canonical order.
 
-    The point's weights on the first low block F solve the table's
-    equations by Cramer's rule (see the module docstring).  Then F, each
-    other low block at its own places in its completed simplex, and each
-    full block must contain the point, in that order.
+    The weights solve the table's equations by Cramer's rule (see the module
+    docstring); then F and each other low block, at its own places in its
+    completed simplex, must contain the point, in that order.
     """
-    d = config.d
-    table = config.determinants
-    low = [b for b in partition if len(b) <= d]
     first = low[0]
     completed = []  # (B, S_B, |Y_B|) for the other low blocks
     rows = []
@@ -154,23 +178,46 @@ def _classify(partition, config):
         places = [s.index(x) for x in b]
         if not _inside(table, s, places, weights[gap:], first[gap:], LOW_BOUNDARY):
             return None
-    if len(low) == 1:
-        on_boundary = "singleton on a block-hull boundary"
-    else:
-        on_boundary = "intersection point on a block-hull boundary"
+    return weights, total
+
+
+def _point(first, weights, total, config):
+    """The point sum(w_a * a) / total over the labels `first`: the label's
+    own point for a singleton, else a tuple of Fractions."""
+    if len(first) == 1:
+        return config.points[first[0]]
+    lcm, pts = config.cleared
+    return tuple(
+        Fraction(sum(w * pts[a][t] for w, a in zip(weights, first)), total * lcm)
+        for t in range(config.d)
+    )
+
+
+def _record(partition, k, point):
+    if k == 1:
+        return TverbergRecord(canonical(partition), TYPE_I, None, point)
+    return TverbergRecord(canonical(partition), TYPE_II, k, point)
+
+
+def _classify(partition, config):
+    """The record of a candidate whose blocks are sorted label tuples, or
+    None; the configuration is in effective general position.  The low
+    blocks' point (`_low_point`), then each full block must contain it."""
+    d = config.d
+    table = config.determinants
+    low = [b for b in partition if len(b) <= d]
+    found = _low_point(low, table, d)
+    if found is None:
+        return None
+    weights, total = found
+    first = low[0]
+    on_boundary = "singleton on a block-hull boundary" if len(low) == 1 else FULL_BOUNDARY
     for simplex in partition:
         if len(simplex) == d + 1 and not _inside(
             table, simplex, range(d + 1), weights, first, on_boundary
         ):
             return None
-    if len(low) == 1:
-        return TverbergRecord(canonical(partition), TYPE_I, None, config.points[first[0]])
-    lcm, pts = config.cleared
-    point = tuple(
-        Fraction(sum(w * pts[a][t] for w, a in zip(weights, first)), total * lcm)
-        for t in range(d)
-    )
-    return TverbergRecord(canonical(partition), TYPE_II, len(low), point)
+    return _record(partition, len(low), _point(first, weights, total, config))
 
 
 def is_tverberg(partition, config: PointConfiguration):
@@ -198,15 +245,97 @@ def is_tverberg(partition, config: PointConfiguration):
     return _classify([tuple(sorted(blk)) for blk in partition], config)
 
 
+def _dependency(table, u):
+    """The affine dependency of the d+2 sorted labels u:
+    lambda_i = (-1)^i D(u without u_i), so sum_i lambda_i (1, u_i) = 0."""
+    return [
+        -table[u[:i] + u[i + 1 :]] if i % 2 else table[u[:i] + u[i + 1 :]]
+        for i in range(len(u))
+    ]
+
+
+def _exact_covers(labels, simplices):
+    """Every partition of `labels` into members of `simplices` (sorted
+    label tuples), each as its blocks in canonical order.
+
+    Algorithm X (Knuth, "Dancing Links", 2000) on bitmasks, always
+    branching on the smallest uncovered label: the block that covers it
+    is one of the simplices whose smallest label it is."""
+    starting = {}
+    for s in simplices:
+        starting.setdefault(s[0], []).append((sum(1 << a for a in s), s))
+    covers = []
+    stack = [(sum(1 << a for a in labels), ())]  # (uncovered labels, blocks so far)
+    while stack:
+        free, chosen = stack.pop()
+        if not free:
+            covers.append(chosen)
+            continue
+        for mask, s in starting.get((free & -free).bit_length() - 1, ()):
+            if mask & free == mask:
+                stack.append((free ^ mask, chosen + (s,)))
+    return covers
+
+
+def _growth_string(partition):
+    """The block index of each label, blocks in canonical order: candidate
+    partitions are enumerated in increasing order of this string."""
+    rgs = [0] * sum(map(len, partition))
+    for j, block in enumerate(partition):
+        for a in block:
+            rgs[a] = j
+    return rgs
+
+
 def tverberg_records(config: PointConfiguration):
-    """All Tverberg records of the configuration; their count is T(X)."""
+    """All Tverberg records of the configuration, in candidate order; their
+    count is T(X).  Points first, then the full blocks as exact covers (see
+    the module docstring)."""
     if not effective_general_position(config):
         raise Degenerate("configuration not in effective general position")
+    d, q, n = config.d, config.q, config.n
+    table = config.determinants
+    labels = range(n)
+    inside = {v: [] for v in labels}  # type I: the simplices containing v
+    points = []  # type II: (low blocks, weights, total) on the first block
+    for u in combinations(labels, d + 2):
+        lam = _dependency(table, u)
+        positive = tuple(a for a, x in zip(u, lam) if x > 0)
+        negative = tuple(a for a, x in zip(u, lam) if x < 0)
+        if len(positive) == 1 or len(negative) == 1:
+            (v,) = positive if len(positive) == 1 else negative
+            inside[v].append(tuple(a for a in u if a != v))
+        else:
+            low = tuple(sorted((positive, negative)))
+            weights = [abs(x) for a, x in zip(u, lam) if a in low[0]]
+            points.append((low, weights, sum(weights)))
+    for k in range(3, min(d, q) + 1):
+        for s in combinations(labels, (d + 1) * (k - 1) + 1):
+            for low in partitions_with_max_block(s, k, d):
+                found = _low_point(low, table, d)
+                if found is not None:
+                    points.append((low, *found))
+
     records = []
-    for partition in enumerate_candidate_partitions(config.d, config.q):
-        rec = _classify(partition, config)
-        if rec is not None:
-            records.append(rec)
+    for v in labels:
+        rest = [a for a in labels if a != v]
+        point = config.points[v]
+        for cover in _exact_covers(rest, inside[v]):
+            records.append(_record(((v,),) + cover, 1, point))
+    for low, weights, total in points:
+        used = {a for b in low for a in b}
+        rest = [a for a in labels if a not in used]
+        first = low[0]
+        simplices = [
+            s
+            for s in combinations(rest, d + 1)
+            if _inside(table, s, range(d + 1), weights, first, FULL_BOUNDARY)
+        ]
+        covers = _exact_covers(rest, simplices)
+        if covers:
+            point = _point(first, weights, total, config)
+            records += (_record(low + cover, len(low), point) for cover in covers)
+    records.sort(key=lambda r: _growth_string(r.partition))
     return records
 
 
@@ -291,15 +420,17 @@ def counting_report(config: PointConfiguration, records=None):
 
 def birch_records(config: PointConfiguration):
     """All Birch partitions of the first n-1 points around p, the last one:
-    q-1 blocks of size d+1, each with p strictly inside its hull.  The count
-    is B_p(X).  Effective general position rules out p equal to a point and
-    p on a block's boundary, where p and d of its labels are dependent."""
+    q-1 blocks of size d+1, each with p strictly inside its hull, in
+    candidate order.  The count is B_p(X).  Effective general position rules
+    out p equal to a point and p on a block's boundary, where p and d of its
+    labels are dependent."""
     if not effective_general_position(config):
         raise Degenerate("Birch instance not in general position relative to p")
-    p = config.n - 1
-    # q-1 blocks of at most d+1 labels cover all (d+1)(q-1) labels only at size d+1.
-    return [
-        partition
-        for partition in partitions_with_max_block(range(p), config.q - 1, config.d + 1)
-        if _classify(((p,),) + partition, config) is not None
-    ]
+    d, p = config.d, config.n - 1
+    table = config.determinants
+    simplices = []
+    for s in combinations(range(p), d + 1):  # p alone on its side of s + (p,)
+        *lam, own = _dependency(table, s + (p,))
+        if all((x > 0) != (own > 0) for x in lam):
+            simplices.append(s)
+    return sorted(_exact_covers(range(p), simplices), key=_growth_string)

@@ -1,9 +1,14 @@
-"""The determinant-table classifier against the exact LP oracle.
+"""The point-first enumeration against two independent references.
 
-`tverberg_records` decides every candidate from the configuration's table
-of (d+1)-subset determinants (one Cramer formula for every type's point);
+`tverberg_records` enumerates points first and lists each point's full
+blocks as exact covers (see `tverberg`).  The candidate-first loop, kept
+here only as a reference, runs `_classify` over every candidate of
+`enumerate_candidate_partitions`; the two must give equal record lists
+(partition, type, k, point, order), and on boundary-prone draws (small
+coordinates) both must refuse (`Degenerate`) or neither.
+
 `tverberg_records_oracle` solves one exact LP per candidate and shares
-nothing with it but the candidate enumeration.  Their
+nothing with the table classifier but the candidate enumeration.  Their
 partition lists must be equal, on integer samples and on rational ones,
 whose denominators the table clears first, and every record's point must
 lie strictly inside each of its blocks.
@@ -12,12 +17,14 @@ On the two boundary constructions of `test_ground_truth`, every verdict
 `is_tverberg` does give must match the LP, and each refusal (`Degenerate`)
 must be a candidate whose hulls the LP finds touching.
 
-`birch_records` asks the same classifier whether p, the configuration's
-last point, is a type I singleton; it must list exactly the partitions in
-which `hull_membership`, on explicit points, puts p inside every block, and
-refuse exactly the draws the explicit general-position test fails.
+`birch_records` lists the exact covers of the first n-1 labels by the
+simplices that contain p, the configuration's last point; it must list
+exactly the partitions in which `hull_membership`, on explicit points, puts
+p inside every block, and refuse exactly the draws the explicit
+general-position test fails.
 
-More seeds, and (d, q) = (2, 4), carry the `slow` marker.
+More seeds and draws, and (d, q) = (2, 4) and (2, 5), carry the `slow`
+marker.
 """
 
 from fractions import Fraction
@@ -32,15 +39,31 @@ from tverlab.geometry import (
     OUTSIDE,
     PointConfiguration,
     common_point,
+    effective_general_position,
     hull_membership,
     points_in_general_position,
 )
 from tverlab.partitions import enumerate_candidate_partitions, partitions_with_max_block
 from tverlab.rng import SplitMix64
-from tverlab.tverberg import birch_records, is_tverberg, tverberg_records, tverberg_records_oracle
+from tverlab.tverberg import (
+    _classify,
+    birch_records,
+    is_tverberg,
+    tverberg_records,
+    tverberg_records_oracle,
+)
 
 TIER1_PAIRS = [(1, 3), (1, 4), (2, 3), (3, 3)]
 BIRCH_BOUNDS = (3, 30, 1000)  # coordinate bounds the Birch draws cycle through
+BOUNDARY_BOUNDS = (3, 4, 5, 6)  # coordinate bounds the boundary-prone draws cycle through
+
+
+def _candidate_first(config):
+    """The reference: `_classify` on every candidate, in enumeration order."""
+    if not effective_general_position(config):
+        raise Degenerate("configuration not in effective general position")
+    records = (_classify(p, config) for p in enumerate_candidate_partitions(config.d, config.q))
+    return [r for r in records if r is not None]
 
 
 def _classified(d, q, seed, rational):
@@ -83,6 +106,55 @@ def test_records_match_lp_oracle(d, q, seed, rational):
         for block in record.partition:
             simplex = [config.points[i] for i in block]
             assert hull_membership(record.point, simplex, d) == INSIDE
+
+
+@pytest.mark.parametrize(
+    "d,q,seed,rational",
+    _cases(TIER1_PAIRS, (21, 22))
+    + _cases([(2, 4)], range(23, 27), marks=pytest.mark.slow)
+    + _cases([(2, 5)], (23,), marks=pytest.mark.slow),
+)
+def test_point_first_matches_candidate_first(d, q, seed, rational):
+    config, records = _classified(d, q, seed, rational)
+    assert records == _candidate_first(config)
+
+
+def _boundary_case(d, q, draws, marks=()):
+    return pytest.param(d, q, draws, marks=marks, id=f"{d}-{q}-{draws}")
+
+
+@pytest.mark.parametrize(
+    "d,q,draws",
+    [
+        _boundary_case(1, 4, 60),
+        _boundary_case(2, 3, 80),
+        _boundary_case(2, 4, 12),
+        _boundary_case(3, 3, 30),
+        _boundary_case(1, 4, 400, pytest.mark.slow),
+        _boundary_case(2, 3, 400, pytest.mark.slow),
+        _boundary_case(2, 4, 150, pytest.mark.slow),
+        _boundary_case(3, 3, 150, pytest.mark.slow),
+    ],
+)
+def test_paths_agree_on_boundary_prone_draws(d, q, draws):
+    """Small coordinates put Type II points on block boundaries: both paths
+    refuse such a draw, or both return the same records."""
+    rng = SplitMix64(7000 + 100 * d + q + draws)
+    refused = type_two = 0
+    for draw in range(draws):
+        bound = BOUNDARY_BOUNDS[draw % len(BOUNDARY_BOUNDS)]
+        config = sample_configuration(d, q, rng, coord_bound=bound)
+        try:
+            expected = _candidate_first(config)
+        except Degenerate:
+            with pytest.raises(Degenerate):
+                tverberg_records(config)
+            refused += 1
+            continue
+        assert tverberg_records(config) == expected, config.points
+        type_two += any(r.k for r in expected)
+    if d > 1:  # at d = 1 every record is Type I, whose point is never on a boundary
+        assert refused and type_two
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ of a simplex, plus one point near its centroid) has exactly ((q-1)!)^d
 Tverberg partitions, all of Type I at the centre point: the centre is a
 singleton and every other block takes one point from each cluster.
 
-The (3, 4) cases and the d=5 Type II(4) case carry the `slow` marker and
-are deselected by default; `pytest -m slow` runs them.
+The d=5 Type II(4) case carries the `slow` marker and is deselected by
+default; `pytest -m slow` runs it.
 """
 
 import math
@@ -48,12 +48,8 @@ def sierksma_configuration(d, q, seed):
     return PointConfiguration(d, q, tuple(points))
 
 
-def _slow(d, q):
-    return pytest.param(d, q, marks=pytest.mark.slow)
-
-
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("d,q", [(2, 3), (2, 4), (3, 3), (2, 5), _slow(3, 4)])
+@pytest.mark.parametrize("d,q", [(2, 3), (2, 4), (3, 3), (2, 5), (2, 6), (3, 4)])
 def test_sierksma_count(d, q, seed):
     config = sierksma_configuration(d, q, seed)
     records = tverberg_records(config)
