@@ -40,7 +40,7 @@ from .complexes import (
     vertex_orbit_sizes,
 )
 from .config_io import format_scalar
-from .errors import Degenerate
+from .errors import Degenerate, InvalidParameters
 from .geometry import PointConfiguration, effective_general_position
 from .homology import homology_vanishes_through
 from .partitions import point_count
@@ -127,8 +127,11 @@ def witness_report(d, q, graph, seed, budget):
     check a found witness once with the exact LP oracle.
 
     `verified` is the oracle's verdict that no avoiding candidate's hulls
-    meet, and `ok` follows it; a search that finds nothing is ok."""
+    meet, and `ok` follows it; a search that finds nothing is ok.  A graph
+    no candidate avoids is refused, as every draw would pass unchecked."""
     candidates = avoiding_candidates(graph, d, q)
+    if not candidates:
+        raise InvalidParameters(f"no candidate at (d, q) = ({d}, {q}) avoids {sorted(graph.edges)}")
     witness = witness_search(d, q, candidates, seed, budget)
     report = {"found": witness is not None}
     if witness is not None:

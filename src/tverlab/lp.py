@@ -6,9 +6,9 @@ integer-preserving pivot of Bareiss (1968) and Edmonds (1967).
 `geometry._reduce` and `lp_feasible` are both built from them.
 
 `lp_feasible` decides A x = b, x >= 0 with a small dense phase-1 simplex and
-Bland's anti-cycling rule, which guarantees termination.  The systems here
-are tiny (barycentric variables of a few blocks), so no sparsity or
-revised-simplex machinery is needed.
+Bland's anti-cycling rule, on a tableau with no artificial columns.  The
+systems here are tiny (barycentric variables of a few blocks), so no sparsity
+or revised-simplex machinery is needed.
 """
 
 import math
@@ -43,9 +43,12 @@ def lp_feasible(A, b):
     """Some x >= 0 with A x = b, as a list of Fractions, or None if none.
 
     Phase 1 minimizes the sum of one artificial variable per row, starting
-    from the basis of artificials.  The system is feasible iff that minimum
-    is 0; then every artificial still in the basis sits at 0, so x is read
-    straight off the final tableau.
+    from the basis of artificials.  An artificial that leaves the basis never
+    returns, so the tableau stores only the n real columns and the rhs.  The
+    final basis is optimal for the LP over the artificials still basic, whose
+    minimum is 0 iff the system is feasible; then those sit at 0 and x is
+    read straight off the final tableau.  Bland's rule terminates, as that
+    LP changes at most m times.
 
     The tableau is integer rows over one common denominator, the cost row
     last.  Every pivot is positive, so that denominator stays positive and
@@ -54,23 +57,16 @@ def lp_feasible(A, b):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    tab = []
-    for i in range(m):
-        row, _ = clear_denominators([*A[i], b[i]])
-        if row[-1] < 0:  # keep the right-hand side >= 0
-            row = [-v for v in row]
-        tab.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
-    basis = list(range(n, n + m))
-    ncols = n + m
+    tab = [clear_denominators([*row, bi])[0] for row, bi in zip(A, b)]
+    tab = [row if row[-1] >= 0 else [-v for v in row] for row in tab]  # rhs >= 0
+    basis = list(range(n, n + m))  # artificial i is basic in row i
     # Reduced costs of the phase-1 objective (sum of artificials) and, last,
     # its negated value.
-    cost = [-sum(row[j] for row in tab) for j in range(ncols + 1)]
-    cost[n:ncols] = [0] * m
-    tab.append(cost)
+    tab.append([-sum(row[j] for row in tab) for j in range(n + 1)])
     den = 1
 
     while True:
-        col = next((j for j in range(ncols) if tab[m][j] < 0), None)
+        col = next((j for j in range(n) if tab[m][j] < 0), None)
         if col is None:
             break
         # The objective is bounded below by 0, so some entry is positive.

@@ -140,6 +140,12 @@ def test_usage_error_exit_2():
             id="budget0",
         ),
         pytest.param(("verify-all", "--budget", "0"), {}, id="verify-all-budget0"),
+        # K_4 leaves no avoiding candidate at (2, 3), so there is nothing to check.
+        pytest.param(
+            ("search", "--q", "3", "--d", "2", "--graph", "k4", "--seed", "1"),
+            {},
+            id="search-no-candidates",
+        ),
         pytest.param(
             ("render", "--input", "{cfg}", "--out", "{out}", "--records", "-1"),
             {},

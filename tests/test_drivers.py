@@ -5,8 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from tverlab import drivers
+from tverlab import drivers, tverberg
 from tverlab.complexes import SimplicialComplex
+from tverlab.constraints import CompleteK, avoiding_candidates, instantiate
+from tverlab.errors import InvalidParameters
 
 
 def test_single_edge_campaign_reports_every_edge_no_record_avoids(monkeypatch):
@@ -57,3 +59,28 @@ def test_chessboard_campaign_says_no_on_a_disconnected_complex(monkeypatch):
     assert {(row["m"], row["n"]) for row in report["results"] if not row["ok"]} == {(2, 3), (3, 3)}
     assert all(row["ok"] == (row["nu"] < 2) for row in report["results"])
     assert report["ok"] is False
+
+
+def test_witness_check_runs_one_lp_per_avoiding_candidate(monkeypatch):
+    # The oracle's verdict covers every avoiding candidate, none skipped.
+    graph = drivers.STAR_WITNESS_GRAPH
+    real = tverberg.common_point
+    calls = []
+
+    def counted(blocks, d=None):
+        calls.append(blocks)
+        return real(blocks, d)
+
+    monkeypatch.setattr(tverberg, "common_point", counted)
+    report = drivers.witness_report(2, 3, graph, 1, 100_000)
+    assert report["found"] and report["verified"] and report["ok"]
+    assert len(calls) == len(avoiding_candidates(graph, 2, 3)) == 92
+
+
+def test_witness_report_refuses_a_graph_no_candidate_avoids():
+    # Four mutually forbidden labels fit no three blocks: with no candidate
+    # to check, any draw would be a witness on no evidence.
+    graph = instantiate(CompleteK(4), 7)
+    assert avoiding_candidates(graph, 2, 3) == []
+    with pytest.raises(InvalidParameters, match=r"\(d, q\) = \(2, 3\)"):
+        drivers.witness_report(2, 3, graph, 1, 100)

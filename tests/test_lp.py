@@ -114,6 +114,61 @@ def test_lp_feasible_matches_brute_force(rational):
     assert verdicts == {True, False}
 
 
+def _oracle_system(blocks):
+    """A x = b in `geometry.common_point`'s shape: per block, a row of ones
+    over its barycentric variables with b = 1; then, per later block and
+    coordinate, its combination minus the first block's, with b = 0."""
+    offsets = [sum(len(blk) for blk in blocks[:j]) for j in range(len(blocks) + 1)]
+    n = offsets[-1]
+    A = [[int(offsets[j] <= v < offsets[j + 1]) for v in range(n)] for j in range(len(blocks))]
+    for j in range(1, len(blocks)):
+        for t in range(len(blocks[0][0])):
+            row = [0] * n
+            for i, s in enumerate(blocks[0]):
+                row[i] = -s[t]
+            for i, s in enumerate(blocks[j]):
+                row[offsets[j] + i] = s[t]
+            A.append(row)
+    return A, [1] * len(blocks) + [0] * (len(A) - len(blocks))
+
+
+def _oracle_blocks(rng):
+    """q blocks of at most d + 1 small integer points, at most six in all,
+    drawn with repeats from a pool holding a collinear triple, so that
+    degenerate pivots are common."""
+    d, q = rng.choice([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+    pool = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(2, 4))]
+    p, r = rng.sample(pool, 2)
+    pool.append(tuple(2 * a - c for a, c in zip(p, r)))  # p is the midpoint
+    while True:
+        sizes = [rng.randint(1, d + 1) for _ in range(q)]
+        if sum(sizes) <= 6:
+            return [[rng.choice(pool) for _ in range(k)] for k in sizes]
+
+
+# Oracle-shaped systems on which a tableau that stores the artificial
+# columns brings an artificial back into the basis; this one stops there.
+@pytest.mark.parametrize(
+    "blocks, feasible",
+    [
+        ([[(1, -1)], [(1, -1)]], True),
+        ([[(-2, 2, 0)], [(-2, 2, 0), (-2, -1, -1)]], True),
+        ([[(1, -1)], [(3, -3), (2, -2)]], False),
+        ([[(1, 1)], [(1, 4)], [(1, 1)]], False),
+    ],
+)
+def test_lp_feasible_where_an_artificial_would_reenter(blocks, feasible):
+    assert (_check(*_oracle_system(blocks)) is not None) == feasible
+
+
+def test_lp_feasible_matches_brute_force_on_oracle_systems():
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(150):
+        verdicts.add(_check(*_oracle_system(_oracle_blocks(rng))) is not None)
+    assert verdicts == {True, False}
+
+
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
     cleared, lcm = clear_denominators([Fraction(2), 3])
