@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,50 @@ def test_family_admissible_rejects_non_prime_power():
 def test_family_admissible_union():
     union = DisjointUnion((CompleteK(2), CompleteK(2)))
     assert family_admissible(union, 2, 3)
+
+
+# The paper's admissible families for prime-power q > 2, written out apart
+# from constraints.py: each family's vertex count and its rule on q.
+PAPER_FAMILIES = {
+    CompleteK: (lambda l: l, lambda l, q: l >= 2 and 2 * l < q + 2),
+    Star: (lambda l: l + 1, lambda l, q: l < q - 1),
+    Path: (lambda l: l + 1, lambda l, q: q > 3),
+    Cycle: (lambda l: l, lambda l, q: l >= 3 and q > 4),
+}
+
+
+def _paper_specs(n):
+    """Every family with l from 1 to n+1, then every two-part union of
+    families with l <= 4, each as a list of (family, l)."""
+    parts = [(family, l) for family in PAPER_FAMILIES for l in range(1, n + 2)]
+    small = [(family, l) for family, l in parts if l <= 4]
+    unions = [list(pair) for pair in combinations_with_replacement(small, 2)]
+    return [[part] for part in parts] + unions
+
+
+def _spec(parts):
+    built = tuple(family(l) for family, l in parts)
+    return built[0] if len(built) == 1 else DisjointUnion(built)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_family_admissible_matches_the_paper_list(d, q):
+    # Admissible iff the spec fits on the (d+1)(q-1)+1 labels and every
+    # part meets its family's rule on q.
+    n = (d + 1) * (q - 1) + 1
+    for parts in _paper_specs(n):
+        fits = sum(PAPER_FAMILIES[family][0](l) for family, l in parts) <= n
+        expected = fits and all(PAPER_FAMILIES[family][1](l, q) for family, l in parts)
+        assert family_admissible(_spec(parts), d, q) == expected, (parts, d, q)
+
+
+@pytest.mark.parametrize("q", [2, 6, 10])
+def test_family_admissible_refuses_every_spec_when_q_is_not_a_prime_power_above_2(q):
+    for d in (1, 2, 3):
+        for parts in _paper_specs(4):
+            with pytest.raises(NotPrimePower):
+                family_admissible(_spec(parts), d, q)
 
 
 def test_instantiate_star():
