@@ -34,7 +34,7 @@ from .svg import render_svg
 from .tverberg import counting_report, tverberg_records
 
 MAX_LISTED = 200  # `enumerate` lists the candidates only up to this many
-DEFAULT_MAX = 6  # `complex --max` for chessboard and identities when not given
+DEFAULT_MAX = 6  # chessboard and identities size: `complex --max` when not given, and verify-all
 
 GRAPH_COMPONENTS = {
     "k": CompleteK,
@@ -46,7 +46,8 @@ GRAPH_COMPONENTS = {
 
 def parse_graph_spec(text):
     """Family spec strings: 'k2', 'star2', 'path3', 'cycle5', or unions
-    joined with '+' ('k2+path2')."""
+    joined with '+' ('k2+path2').  Every l is at least 1, and at least 3
+    for a cycle."""
     parts = []
     for piece in text.lower().split("+"):
         m = re.fullmatch(r"(k|star|path|cycle)(\d+)", piece.strip())
@@ -54,7 +55,11 @@ def parse_graph_spec(text):
             raise InvalidParameters(
                 f"bad graph spec {piece!r}; expected k<l>, star<l>, path<l>, or cycle<l>"
             )
-        parts.append(GRAPH_COMPONENTS[m.group(1)](int(m.group(2))))
+        family, l = m.group(1), int(m.group(2))
+        least = 3 if family == "cycle" else 1
+        if l < least:
+            raise InvalidParameters(f"bad graph spec {piece!r}; {family}<l> needs l >= {least}")
+        parts.append(GRAPH_COMPONENTS[family](l))
     return parts[0] if len(parts) == 1 else DisjointUnion(tuple(parts))
 
 
@@ -69,7 +74,7 @@ def _graph_for(spec_text, n):
             if m is None:
                 raise InvalidParameters(f"bad edge {token!r}; expected <label>-<label>")
             edges.append((int(m.group(1)), int(m.group(2))))
-        return ConstraintGraph(n, frozenset(tuple(sorted(e)) for e in edges))
+        return ConstraintGraph(n, frozenset(edges))
     return instantiate(parse_graph_spec(spec_text), n)
 
 
@@ -122,8 +127,8 @@ def cmd_classify(args):
     config = _load_config(args.input)
     graph = _graph_for(args.graph, len(config.points))
     records = tverberg_records(config)
-    kept = constrained_records(config, graph, records=records)
-    report = counting_report(config, records=records)
+    kept = constrained_records(records, graph)
+    report = counting_report(config, records)
     report["edges"] = sorted(list(e) for e in graph.edges)
     report["avoiding"] = len(kept)
     report["records"] = [_record_dict(r) for r in kept]
@@ -175,9 +180,9 @@ def cmd_verify_all(args):
         ),
         ("star_witness_search", lambda: drivers.witness_report(*star, args.seed, args.budget)),
         ("birch_counts", lambda: drivers.birch_campaign(args.samples, args.seed)),
-        ("chessboard_connectivity", lambda: drivers.chessboard_connectivity_campaign(6)),
+        ("chessboard_connectivity", lambda: drivers.chessboard_connectivity_campaign(DEFAULT_MAX)),
         ("lemma_connectivity", drivers.lemma_connectivity_campaign),
-        ("structural_identities", drivers.structural_identities_campaign),
+        ("structural_identities", lambda: drivers.structural_identities_campaign(DEFAULT_MAX)),
         ("goodness_invariance", drivers.goodness_invariance_campaign),
     ]
     results = [{"criterion": name, "ok": run()["ok"]} for name, run in criteria]

@@ -291,12 +291,15 @@ def invariance_check(K, action: GroupAction) -> bool:
     """True iff every generator maps the facet set of K onto itself.
 
     The image of the facet set must equal it, not merely lie inside it:
-    nothing makes a generator a permutation.  So each generator must first
-    map the vertex set one-to-one onto itself; if it does not, a vertex
-    that leaves the set, or that the image misses, lies in a facet no image
-    facet equals.  Then each vertex gets its own bit, each facet is keyed
-    by the sum of its vertices' bits (a one-to-one image carries no bit),
-    and the image keys must be the facet keys."""
+    nothing makes a generator a permutation.  Each vertex gets its own bit,
+    each facet is keyed by the sum of its vertices' bits, and the image
+    keys must be the facet keys.  The bit lookup needs the images to stay
+    inside the vertex set; the guard's one-to-one half follows from equal
+    keys.  The facet keys are distinct, so each facet pairs with one image
+    facet; a sum of bits has no more set bits than terms, so the key sets'
+    bit totals match only if no image facet repeats a vertex; the image
+    facets are then the facets, so the image of the vertex set is the
+    vertex set, and a map of a finite set onto itself is one-to-one."""
     verts = K.vertices
     _check_columns(verts, action.q)
     bit = {v: 1 << i for i, v in enumerate(verts)}

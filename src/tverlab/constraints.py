@@ -3,9 +3,9 @@
 A constraint graph forbids same-block pairs; a partition avoids it when no
 block contains both endpoints of any edge.  The admissible families (for
 prime-power q > 2) are complete graphs K_l with 2l < q+2, stars K_{1,l}
-with l < q-1, paths P_l (l+1 vertices) with l <= (d+1)(q-1) and q > 3,
-cycles C_l with l <= (d+1)(q-1)+1 and q > 4, and vertex-disjoint unions of
-those.
+with l < q-1, paths P_l (l+1 vertices) with q > 3, cycles C_l with l >= 3
+and q > 4, and vertex-disjoint unions of those, each on at most the
+(d+1)(q-1)+1 labels.
 """
 
 import math
@@ -15,7 +15,7 @@ from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
 from .geometry import PointConfiguration, effective_general_position
 from .partitions import enumerate_candidate_partitions, point_count
 from .rng import SplitMix64
-from .tverberg import _classify, is_prime_power, tverberg_records
+from .tverberg import _classify, is_prime_power
 
 WITNESS_COORD_BOUND = 1 << 10
 SAMPLE_COORD_BOUND = 1 << 20
@@ -51,11 +51,12 @@ def avoids(partition, graph: ConstraintGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Family specs: constructive descriptions of the admissible families.  Each
-# connected family states its own facts: its edges, when it is admissible
-# (for prime-power q > 2 and n_labels = point_count(d, q)), and the facet count
-# of its good complex.  That complex is no family's own: for every graph it
-# is the proper q-colorings of its edges (complexes.coloring_complex).
-# family_admissible has already refused l <= 0.
+# connected family states its own facts: its edges, the paper's rule on q
+# for its admissibility (`admissible(q)`, for prime-power q > 2), and the
+# facet count of its good complex.  family_admissible adds the check that
+# the spec fits on the point_count(d, q) labels, and has already refused
+# l <= 0.  The good complex is no family's own: for every graph it is the
+# proper q-colorings of its edges (complexes.coloring_complex).
 
 class _Connected:
     @property
@@ -73,7 +74,7 @@ class CompleteK(_Connected):
     def edges_on(self, vertices):
         return [(vertices[i], vertices[j]) for i in range(self.l) for j in range(i + 1, self.l)]
 
-    def admissible(self, q, n_labels):
+    def admissible(self, q):
         return self.l >= 2 and 2 * self.l < q + 2
 
     def facet_count(self, q):
@@ -90,7 +91,7 @@ class Star(_Connected):
     def edges_on(self, vertices):
         return [(vertices[0], v) for v in vertices[1:]]
 
-    def admissible(self, q, n_labels):
+    def admissible(self, q):
         return self.l < q - 1
 
     def facet_count(self, q):
@@ -107,8 +108,8 @@ class Path(_Connected):
     def edges_on(self, vertices):
         return list(zip(vertices, vertices[1:]))
 
-    def admissible(self, q, n_labels):
-        return self.l <= n_labels - 1 and q > 3
+    def admissible(self, q):
+        return q > 3
 
     def facet_count(self, q):
         return q * (q - 1) ** self.l
@@ -124,8 +125,8 @@ class Cycle(_Connected):
     def edges_on(self, vertices):
         return list(zip(vertices, vertices[1:])) + [(vertices[-1], vertices[0])]
 
-    def admissible(self, q, n_labels):
-        return self.l >= 3 and self.l <= n_labels and q > 4
+    def admissible(self, q):
+        return self.l >= 3 and q > 4
 
     def facet_count(self, q):
         return (q - 1) ** self.l + (-1) ** self.l * (q - 1)
@@ -159,23 +160,23 @@ def family_admissible(spec, d, q) -> bool:
         raise InvalidParameters(f"not a family component: {spec!r}")
     if any(p.l <= 0 for p in spec.parts):
         raise InvalidParameters("family parameters must be positive")
-    n_labels = point_count(d, q)
-    if spec.vertex_count() > n_labels:
+    if spec.vertex_count() > point_count(d, q):
         return False
-    return all(p.admissible(q, n_labels) for p in spec.parts)
+    return all(p.admissible(q) for p in spec.parts)
 
 
 def instantiate(spec, n) -> ConstraintGraph:
-    """Constraint graph of a family spec on the vertex labels 0, 1, 2, ..."""
+    """Constraint graph of a family spec on the vertex labels 0, 1, 2, ...;
+    a spec with more than n vertices is refused before any edge is built."""
+    if spec.vertex_count() > n:
+        raise InvalidParameters(f"graph spec {spec!r} has more vertices than the {n} labels")
     return ConstraintGraph(n, frozenset(spec.edges_on(list(range(spec.vertex_count())))))
 
 
 # ---------------------------------------------------------------------------
 
-def constrained_records(config: PointConfiguration, graph: ConstraintGraph, records=None):
-    """Tverberg records whose partitions avoid the constraint graph."""
-    if records is None:
-        records = tverberg_records(config)
+def constrained_records(records, graph: ConstraintGraph):
+    """The Tverberg records whose partitions avoid the constraint graph."""
     return [r for r in records if avoids(r.partition, graph)]
 
 
@@ -211,8 +212,6 @@ def witness_search(d, q, candidates, seed, budget):
     Draws whose classification hits a degeneracy are skipped (they still
     consume budget).
     """
-    if budget < 1:
-        return None
     rng = SplitMix64(seed)
     for _ in range(budget):
         config = sample_configuration(d, q, rng, WITNESS_COORD_BOUND)

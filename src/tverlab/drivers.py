@@ -80,7 +80,7 @@ def radon_baseline():
     oracle = tverberg_records_oracle(config)
     ok = (
         len(records) == 1
-        and records[0].ptype == "I"
+        and records[0].k == 1
         and records[0].point == (1,)
         and records[0].partition == ((0, 2), (1,))
         and [r.partition for r in records] == oracle
@@ -93,13 +93,12 @@ def counting_campaign(d, q, samples, seed):
     lower bounds, as applicable for (d, q))."""
     rng = SplitMix64(seed)
     results = []
-    ok = True
     for index in range(samples):
         config, records = sample_classified_configuration(d, q, rng)
-        report = counting_report(config, records=records)
+        report = counting_report(config, records)
         report["sample"] = index
-        ok = ok and report["ok"]
         results.append(report)
+    ok = all(r["ok"] for r in results)
     return {"d": d, "q": q, "samples": samples, "seed": seed, "ok": ok, "reports": results}
 
 
@@ -114,7 +113,7 @@ def single_edge_constraint_campaign(samples, seed, d=2, q=3):
         config, records = sample_classified_configuration(d, q, rng)
         for edge in edges:
             graph = ConstraintGraph(n, frozenset([edge]))
-            if not constrained_records(config, graph, records=records):
+            if not constrained_records(records, graph):
                 violations.append({"sample": index, "edge": edge})
     return {
         "d": d, "q": q, "samples": samples, "seed": seed,
@@ -147,7 +146,6 @@ def birch_campaign(samples, seed):
     instances at each (d, k)."""
     rng = SplitMix64(seed)
     results = []
-    ok = True
     for d, k in BIRCH_PAIRS:
         for index in range(samples):
             count = len(birch_records(_sample_birch(d, k, rng)))
@@ -159,8 +157,8 @@ def birch_campaign(samples, seed):
                 "even": count % 2 == 0,
                 "lower_ok": count == 0 or count >= math.factorial(k),
             }
-            ok = ok and entry["even"] and entry["lower_ok"]
             results.append(entry)
+    ok = all(r["even"] and r["lower_ok"] for r in results)
     return {"ok": ok, "samples": samples, "seed": seed, "results": results}
 
 
@@ -178,19 +176,17 @@ def _sample_birch(d, k, rng):
             return config
 
 
-def chessboard_connectivity_campaign(max_mn=6):
+def chessboard_connectivity_campaign(max_mn):
     """Reduced homology of the chessboard complex vanishes through nu-2
     for all m, n up to the cap."""
     results = []
-    ok = True
     for m in range(1, max_mn + 1):
         for n in range(m, max_mn + 1):
             nu = min(m, n, (m + n + 1) // 3)
             K = chessboard(m, n)
             passed = homology_vanishes_through(K, nu - 2)
-            ok = ok and passed
             results.append({"m": m, "n": n, "nu": nu, "ok": passed})
-    return {"ok": ok, "max": max_mn, "results": results}
+    return {"ok": all(r["ok"] for r in results), "max": max_mn, "results": results}
 
 
 def lemma_connectivity_campaign():
@@ -204,15 +200,13 @@ def lemma_connectivity_campaign():
     for l in (3, 4, 5):
         cases.append(("E", l, 5, complex_E(l, 5), l - 2))
     results = []
-    ok = True
     for family, l, q, K, bound in cases:
         passed = homology_vanishes_through(K, bound)
-        ok = ok and passed
         results.append({"family": family, "l": l, "q": q, "bound": bound, "ok": passed})
-    return {"ok": ok, "results": results}
+    return {"ok": all(r["ok"] for r in results), "results": results}
 
 
-def structural_identities_campaign(max_q=6):
+def structural_identities_campaign(max_q):
     """Facet-count formulas, the E_3 = 3-row chessboard coincidence, the
     nerve of the C cones, and the D/E intersection identities."""
     checks = []

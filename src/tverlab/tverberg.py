@@ -71,8 +71,6 @@ from .errors import Degenerate, InvalidParameters
 from .geometry import PointConfiguration, _reduce, common_point, det, effective_general_position
 from .partitions import canonical, enumerate_candidate_partitions, partitions_with_max_block
 
-TYPE_I = "I"
-TYPE_II = "II"
 LOW_BOUNDARY = "intersection point on a low-block boundary"
 FULL_BOUNDARY = "intersection point on a block-hull boundary"
 
@@ -80,12 +78,11 @@ FULL_BOUNDARY = "intersection point on a block-hull boundary"
 @dataclass(frozen=True)
 class TverbergRecord:
     partition: tuple  # canonical tuple of blocks (tuples of labels)
-    ptype: str  # TYPE_I or TYPE_II
-    k: int | None  # number of low-dimensional blocks for type II
+    k: int  # number of low-dimensional blocks; 1, the singleton, for type I
     point: tuple  # the Tverberg point
 
     def describe(self):
-        return TYPE_I if self.ptype == TYPE_I else f"II({self.k})"
+        return "I" if self.k == 1 else f"II({self.k})"
 
 
 def _swapped(table, simplex, i, a):
@@ -193,12 +190,6 @@ def _point(first, weights, total, config):
     )
 
 
-def _record(partition, k, point):
-    if k == 1:
-        return TverbergRecord(canonical(partition), TYPE_I, None, point)
-    return TverbergRecord(canonical(partition), TYPE_II, k, point)
-
-
 def _classify(partition, config):
     """The record of a candidate whose blocks are sorted label tuples, or
     None; the configuration is in effective general position.  The low
@@ -217,7 +208,7 @@ def _classify(partition, config):
             table, simplex, range(d + 1), weights, first, on_boundary
         ):
             return None
-    return _record(partition, len(low), _point(first, weights, total, config))
+    return TverbergRecord(canonical(partition), len(low), _point(first, weights, total, config))
 
 
 def is_tverberg(partition, config: PointConfiguration):
@@ -321,7 +312,7 @@ def tverberg_records(config: PointConfiguration):
         rest = [a for a in labels if a != v]
         point = config.points[v]
         for cover in _exact_covers(rest, inside[v]):
-            records.append(_record(((v,),) + cover, 1, point))
+            records.append(TverbergRecord(canonical(((v,),) + cover), 1, point))
     for low, weights, total in points:
         used = {a for b in low for a in b}
         rest = [a for a in labels if a not in used]
@@ -334,7 +325,9 @@ def tverberg_records(config: PointConfiguration):
         covers = _exact_covers(rest, simplices)
         if covers:
             point = _point(first, weights, total, config)
-            records += (_record(low + cover, len(low), point) for cover in covers)
+            records += (
+                TverbergRecord(canonical(low + cover), len(low), point) for cover in covers
+            )
     records.sort(key=lambda r: _growth_string(r.partition))
     return records
 
@@ -380,10 +373,9 @@ def is_prime_power(q):
     return prime_power(q) is not None
 
 
-def counting_report(config: PointConfiguration, records=None):
-    """T(X), type histogram, and the counting-theorem checks that apply."""
-    if records is None:
-        records = tverberg_records(config)
+def counting_report(config: PointConfiguration, records):
+    """T(X), type histogram, and the counting-theorem checks that apply, for
+    the configuration's Tverberg records."""
     d, q = config.d, config.q
     t = len(records)
     histogram = {}

@@ -87,7 +87,7 @@ def test_criterion_8_lemma_connectivity():
 
 
 def test_criterion_9_structural_identities():
-    report = drivers.structural_identities_campaign()
+    report = drivers.structural_identities_campaign(max_q=6)
     _report(9, "structural identities", report["ok"])
 
 

@@ -10,6 +10,7 @@ import pytest
 from tverlab import cli, constraints
 from tverlab.config_io import format_scalar, parse_configuration
 from tverlab.errors import DimensionMismatch, ParseError
+from tverlab.tverberg import tverberg_records
 
 GOOD = """\
 # demo configuration
@@ -114,6 +115,14 @@ def test_usage_error_exit_2():
     [
         pytest.param(("search", "--q", "3", "--d", "2", "--graph", "blob3"), {}, id="family"),
         pytest.param(("search", "--q", "3", "--d", "2", "--graph", "edges:0-x"), {}, id="edge"),
+        # Every l is at least 1 (3 for a cycle), and a spec must fit on the
+        # labels: K_{10^9} is refused before any of its edges is built.
+        pytest.param(("search", "--q", "3", "--d", "2", "--graph", "cycle0"), {}, id="cycle0"),
+        pytest.param(("search", "--q", "3", "--d", "2", "--graph", "cycle2"), {}, id="cycle2"),
+        pytest.param(("search", "--q", "3", "--d", "2", "--graph", "k0"), {}, id="k0"),
+        pytest.param(
+            ("search", "--q", "3", "--d", "2", "--graph", "k1000000000"), {}, id="k1000000000"
+        ),
         pytest.param(("classify", "--input", "no-such-file.cfg"), {}, id="missing-input"),
         # Each command refuses every flag it does not read.
         pytest.param(("enumerate", "--input", "{cfg}"), {}, id="enumerate-input"),
@@ -167,7 +176,7 @@ def test_bad_input_exit_2(args, env, tmp_path):
     bad = tmp_path / "bad.cfg"  # "{bad}" names a file that is not valid UTF-8
     bad.write_bytes(b"\xff\xfe\x00bad")
     args = [a.format(cfg=cfg, bad=bad, out=tmp_path / "demo.svg", dir=tmp_path) for a in args]
-    proc = run_cli(*args, env={**os.environ, **env})
+    proc = run_cli(*args, env={**os.environ, **env}, timeout=60)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -237,7 +246,7 @@ def test_classify_with_star2_lists_exactly_the_constrained_records(tmp_path, cap
     report = json.loads(capsys.readouterr().out)
     config = parse_configuration(GOOD)
     graph = constraints.instantiate(constraints.Star(2), len(config.points))
-    kept = constraints.constrained_records(config, graph)
+    kept = constraints.constrained_records(tverberg_records(config), graph)
     assert report["edges"] == sorted(list(e) for e in graph.edges)
     assert report["avoiding"] == len(kept)
     assert [r["partition"] for r in report["records"]] == [

@@ -146,13 +146,13 @@ def _sample(d, q, seed):
 def test_empty_graph_is_identity_filter():
     config, records = _sample(2, 3, 4)
     g = ConstraintGraph(7, frozenset())
-    assert constrained_records(config, g, records=records) == records
+    assert constrained_records(records, g) == records
 
 
 def test_single_edge_leaves_records():
     config, records = _sample(2, 3, 5)
     g = ConstraintGraph(7, frozenset([(0, 1)]))
-    kept = constrained_records(config, g, records=records)
+    kept = constrained_records(records, g)
     assert kept
     assert all(avoids(r.partition, g) for r in kept)
 
@@ -162,7 +162,7 @@ def test_d1_q3_constraint_postcondition():
 
     config = PointConfiguration(1, 3, ((0,), (1,), (2,), (3,), (4,)))
     g = ConstraintGraph(5, frozenset([(0, 1)]))
-    for r in constrained_records(config, g):
+    for r in constrained_records(tverberg_records(config), g):
         assert avoids(r.partition, g)
 
 
@@ -179,7 +179,7 @@ def test_admissible_families_leave_records(q, d):
         if not family_admissible(spec, d, q):
             continue
         g = instantiate(spec, n)
-        assert constrained_records(config, g, records=records)
+        assert constrained_records(records, g)
 
 
 def test_witness_search_budget_zero():
@@ -198,7 +198,7 @@ def test_witness_search_star2_finds_and_verifies():
     candidates = avoiding_candidates(g, 2, 3)
     witness = witness_search(2, 3, candidates, seed=1, budget=5000)
     assert witness is not None
-    assert constrained_records(witness, g) == []
+    assert constrained_records(tverberg_records(witness), g) == []
     assert tverberg_records_oracle(witness, candidates) == []
 
 

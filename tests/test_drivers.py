@@ -1,6 +1,7 @@
 """Each campaign row can say no: fed a case that breaks its claim, the row
 reports false and so does the campaign's `ok`."""
 
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,50 @@ from tverlab import drivers, tverberg
 from tverlab.complexes import SimplicialComplex
 from tverlab.constraints import CompleteK, avoiding_candidates, instantiate
 from tverlab.errors import InvalidParameters
+
+
+def test_radon_baseline_says_no_to_a_type_ii_record(monkeypatch):
+    assert drivers.radon_baseline()["ok"] is True
+    real = drivers.tverberg_records
+
+    def as_type_ii(config):
+        return [dataclasses.replace(r, k=2) for r in real(config)]
+
+    monkeypatch.setattr(drivers, "tverberg_records", as_type_ii)
+    assert drivers.radon_baseline()["ok"] is False
+
+
+def test_counting_campaign_says_no_when_its_second_sample_fails(monkeypatch):
+    # The second report is made from no records, so T = 0 breaks (q-d)! >= 1.
+    honest = drivers.counting_campaign(2, 3, samples=2, seed=3)
+    real = drivers.counting_report
+    calls = []
+
+    def second_empty(config, records):
+        calls.append(config)
+        return real(config, [] if len(calls) == 2 else records)
+
+    monkeypatch.setattr(drivers, "counting_report", second_empty)
+    report = drivers.counting_campaign(2, 3, samples=2, seed=3)
+    assert honest["ok"] is True
+    assert report["reports"][0] == honest["reports"][0]
+    assert report["reports"][1]["T"] == 0 and report["reports"][1]["ok"] is False
+    assert report["ok"] is False
+
+
+def test_lemma_campaign_says_no_when_one_case_is_not_connected(monkeypatch):
+    real = drivers.homology_vanishes_through
+    calls = []
+
+    def fifth_fails(K, bound):
+        calls.append(K)
+        return real(K, bound) and len(calls) != 5
+
+    monkeypatch.setattr(drivers, "homology_vanishes_through", fifth_fails)
+    report = drivers.lemma_connectivity_campaign()
+    assert len(report["results"]) == 14
+    assert [row["ok"] for row in report["results"]] == [i != 4 for i in range(14)]
+    assert report["ok"] is False
 
 
 def test_single_edge_campaign_reports_every_edge_no_record_avoids(monkeypatch):

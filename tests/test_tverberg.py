@@ -25,7 +25,7 @@ RADON = PointConfiguration(1, 2, ((0,), (1,), (2,)))
 def test_radon_middle_partition():
     record = is_tverberg(((0, 2), (1,)), RADON)
     assert record is not None
-    assert record.ptype == "I"
+    assert record.k == 1
     assert record.point == (1,)
 
 
@@ -39,7 +39,7 @@ def test_type_one_planar_example():
     )
     record = is_tverberg(((0, 1, 2), (3, 4, 5), (6,)), config)
     assert record is not None
-    assert record.ptype == "I"
+    assert record.k == 1
     assert record.point == (2, 2)
 
 
