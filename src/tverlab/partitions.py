@@ -1,6 +1,5 @@
 """Enumeration of partitions with capped block sizes: the candidate
-Tverberg partitions, and the low-block families that
-`tverberg.tverberg_records` tries.
+Tverberg partitions.
 
 Partitions are unordered; the canonical form is a tuple of blocks sorted by
 smallest element, each block a sorted tuple of labels.  Generation places

@@ -36,24 +36,40 @@ affine dependency, lambda_i = (-1)^i D(U minus u_i), nonzero in effective
 general position; its positive and negative labels are U's Radon
 partition.  A side with one label v is a type I fact (v lies inside the
 other d+1 labels' simplex), and two sides of at least 2 labels each are
-the only low pair on U whose hulls meet (type II(2)).  For k >= 3 the
-families are the partitions of each ((d+1)(k-1)+1)-subset into k blocks of
-2..d labels, each through `_low_point`.  A point's full blocks are then
-every exact cover of the remaining labels by the (d+1)-subsets that
-contain it (`_exact_covers`), and the records are sorted by the
-restricted-growth string of their partition, which is the order of
-`enumerate_candidate_partitions`.
+the only low pair on U whose hulls meet (type II(2)).  These Radon pairs
+also say which low blocks meet: disjoint low blocks A and B meet iff some
+pair (F, G) has F in A and G in B, up to order.  A vertex x of
+conv A n conv B lies in the relative interiors of faces F of A and G of B
+whose hulls meet only at x, so |F| + |G| <= d+2; no d+1 labels are
+dependent, so |F| + |G| = d+2, and then (F, G) is the Radon pair of
+F u G.  Three or more low blocks meet only if every two of them do, so the
+type II(k >= 3) families tried are the pairwise meeting ones whose sizes
+fit a candidate (`_meeting_families`), each through `_low_point`.  A
+point's full blocks are then every exact cover of the remaining labels by
+the (d+1)-subsets that contain it (`_exact_covers`), and the records are
+sorted by the restricted-growth string of their partition, which is the
+order of `enumerate_candidate_partitions`.
 
 `is_tverberg` and `constraints.witness_search` classify one candidate at
 a time (`_classify`): the same `_low_point`, then `_inside` for each full
 block.
 
-The Degenerate contract is "refuse, never guess": a count is returned
-only if no decision it rests on touched a boundary.  Point-first tests a
-type II point against every (d+1)-subset of the remaining labels, so it
-refuses whenever such a point lies on the boundary of any of them, even
-where classifying the candidates one by one would have rejected every
-candidate holding that simplex for another reason first.
+The Degenerate contract is "refuse, never guess": a count refuses only
+when a decision it actually makes lands on a boundary.  Point-first and
+classifying the candidates one by one make different decisions:
+
+  * a k >= 3 family that is not pairwise meeting is decided by the
+    nonzero signs of the dependencies and never reaches `_low_point`, so
+    point-first counts a draw where such a family's affine hulls meet in
+    more than a point, or in a point on one block's boundary and outside
+    another block, which classifying that family's candidates refuses;
+  * point-first tests a type II point against every (d+1)-subset of the
+    remaining labels, so it refuses whenever such a point lies on the
+    boundary of any of them, even where classifying the candidates would
+    have rejected every candidate holding that simplex for another reason
+    first.  At q = 3 a type II(2) point leaves one full block, so this
+    cannot happen, and point-first refuses only draws that candidate-first
+    refuses too.
 
 A Birch partition of k(d+1) points around p (Birch 1959) is the same thing
 as a type I partition of the points plus p whose singleton is p, so
@@ -69,7 +85,7 @@ from itertools import combinations
 
 from .errors import Degenerate, InvalidParameters
 from .geometry import PointConfiguration, _reduce, common_point, det, effective_general_position
-from .partitions import canonical, enumerate_candidate_partitions, partitions_with_max_block
+from .partitions import canonical, enumerate_candidate_partitions
 
 LOW_BOUNDARY = "intersection point on a low-block boundary"
 FULL_BOUNDARY = "intersection point on a block-hull boundary"
@@ -278,17 +294,53 @@ def _growth_string(partition):
     return rgs
 
 
+def _meeting_families(pairs, n, d):
+    """Every family of k >= 3 disjoint low blocks that pairwise meet and
+    fall short of d+1 labels by d in total, blocks in canonical order.
+    `pairs` are the Radon pairs (F, G) with both sides of at least 2 labels.
+    Such a family has (d+1)(k-1)+1 of the n labels, so k <= q.
+
+    Two blocks of such a family fall short by at most d-1 together, so they
+    hold at least d+3 labels, each at least 3 and at most d.  A and B meet
+    iff F is in A and G in B for some pair, up to order (see the module
+    docstring), so each pair's supersets of those sizes are the meeting
+    blocks, and
+    `later[A]` holds the blocks that meet A and start after it."""
+    later = {}
+    for f, g in pairs:
+        rest = [a for a in range(n) if a not in f and a not in g]
+        for size_a in range(max(3, len(f)), d + 1):
+            for more_a in combinations(rest, size_a - len(f)):
+                a = tuple(sorted(f + more_a))
+                free = [x for x in rest if x not in more_a]
+                for size_b in range(max(3, len(g), d + 3 - size_a), d + 1):
+                    for more_b in combinations(free, size_b - len(g)):
+                        b = tuple(sorted(g + more_b))
+                        first, second = (a, b) if a < b else (b, a)
+                        later.setdefault(first, set()).add(second)
+    stack = [((a,), meets, len(a) - 1) for a, meets in later.items()]
+    while stack:  # (blocks so far, blocks meeting all of them, labels short)
+        chosen, common, short = stack.pop()
+        for c in common:
+            gap = d + 1 - len(c)
+            if gap == short:
+                yield chosen + (c,)
+            elif gap < short:
+                stack.append((chosen + (c,), common & later.get(c, set()), short - gap))
+
+
 def tverberg_records(config: PointConfiguration):
     """All Tverberg records of the configuration, in candidate order; their
     count is T(X).  Points first, then the full blocks as exact covers (see
     the module docstring)."""
     if not effective_general_position(config):
         raise Degenerate("configuration not in effective general position")
-    d, q, n = config.d, config.q, config.n
+    d, n = config.d, config.n
     table = config.determinants
     labels = range(n)
     inside = {v: [] for v in labels}  # type I: the simplices containing v
     points = []  # type II: (low blocks, weights, total) on the first block
+    pairs = []  # the Radon pairs behind the type II(2) points
     for u in combinations(labels, d + 2):
         lam = _dependency(table, u)
         positive = tuple(a for a, x in zip(u, lam) if x > 0)
@@ -300,12 +352,11 @@ def tverberg_records(config: PointConfiguration):
             low = tuple(sorted((positive, negative)))
             weights = [abs(x) for a, x in zip(u, lam) if a in low[0]]
             points.append((low, weights, sum(weights)))
-    for k in range(3, min(d, q) + 1):
-        for s in combinations(labels, (d + 1) * (k - 1) + 1):
-            for low in partitions_with_max_block(s, k, d):
-                found = _low_point(low, table, d)
-                if found is not None:
-                    points.append((low, *found))
+            pairs.append(low)
+    for low in _meeting_families(pairs, n, d):
+        found = _low_point(low, table, d)
+        if found is not None:
+            points.append((low, *found))
 
     records = []
     for v in labels:

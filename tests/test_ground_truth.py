@@ -1,13 +1,13 @@
 """Exact ground truth at sizes the LP oracle cannot reach, and the
-`Degenerate` contract: a count only if no decision touched a boundary.
+`Degenerate` contract: a count only if no decision it makes touches a boundary.
 
 Sierksma's configuration (d+1 tight clusters of q-1 points at the vertices
 of a simplex, plus one point near its centroid) has exactly ((q-1)!)^d
 Tverberg partitions, all of Type I at the centre point: the centre is a
 singleton and every other block takes one point from each cluster.
 
-The d=5 Type II(4) case carries the `slow` marker and is deselected by
-default; `pytest -m slow` runs it.
+The d=5 Type II(4) case and the (3, 5) Sierksma count carry the `slow`
+marker and are deselected by default; `pytest -m slow` runs them.
 """
 
 import math
@@ -49,7 +49,10 @@ def sierksma_configuration(d, q, seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("d,q", [(2, 3), (2, 4), (3, 3), (2, 5), (2, 6), (3, 4)])
+@pytest.mark.parametrize(
+    "d,q",
+    [(2, 3), (2, 4), (3, 3), (2, 5), (2, 6), (3, 4), pytest.param(3, 5, marks=pytest.mark.slow)],
+)
 def test_sierksma_count(d, q, seed):
     config = sierksma_configuration(d, q, seed)
     records = tverberg_records(config)
@@ -135,6 +138,15 @@ def test_planes_through_a_line_are_refused():
     assert effective_general_position(config)
     with pytest.raises(Degenerate, match="affine hulls meet in more than a point"):
         is_tverberg(TRIANGLES, config)
+
+
+def test_planes_through_a_line_do_not_stop_the_count():
+    # No two of the triangles meet, so the count never tries their planes'
+    # common line, and it is the LP oracle's.
+    config = PointConfiguration(3, 3, AXIS_TRIANGLES)
+    records = tverberg_records(config)
+    assert len(records) == 9
+    assert [r.partition for r in records] == tverberg_records_oracle(config)
 
 
 def _blocks_around_origin(d, sizes, seed):
