@@ -243,7 +243,12 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=100_000,
+        help="placements of the graph tried, across draws; a refused draw counts as one",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=cmd_search)
 

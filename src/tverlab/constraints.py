@@ -10,12 +10,13 @@ and q > 4, and vertex-disjoint unions of those, each on at most the
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, islice, permutations
 
 from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
 from .geometry import PointConfiguration, effective_general_position
 from .partitions import enumerate_candidate_partitions, point_count
 from .rng import SplitMix64
-from .tverberg import _classify, is_prime_power
+from .tverberg import is_prime_power, tverberg_records
 
 WITNESS_COORD_BOUND = 1 << 10
 SAMPLE_COORD_BOUND = 1 << 20
@@ -200,24 +201,62 @@ def avoiding_candidates(graph: ConstraintGraph, d, q):
     return [p for p in enumerate_candidate_partitions(d, q) if avoids(p, graph)]
 
 
-def witness_search(d, q, candidates, seed, budget):
-    """Search for a configuration on which none of the given candidate
-    partitions (`avoiding_candidates` of a constraint graph) is Tverberg.
+def hit_masks(records, n):
+    """masks[a][b] is the bitmask of the records (bit i for records[i]) whose
+    partition has labels a and b in one block.  A graph placed on the labels
+    is avoided by no record iff its edges' masks cover every record."""
+    masks = [[0] * n for _ in range(n)]
+    for i, record in enumerate(records):
+        bit = 1 << i
+        for block in record.partition:
+            for a, b in combinations(block, 2):
+                masks[a][b] |= bit
+                masks[b][a] |= bit
+    return masks
 
-    Deterministic given the seed.  Each draw is already in effective general
-    position (`sample_configuration`), so every candidate goes straight to
-    the shared classifier, and the first draw on which none is Tverberg is
-    returned.  The witness is not re-checked here; `drivers.witness_report`
-    checks it once with the exact LP oracle, over the same candidates.
-    Draws whose classification hits a degeneracy are skipped (they still
-    consume budget).
+
+def _relabelled(config, vertices, placement):
+    """The configuration whose label v holds the point at the label placed
+    for graph vertex v; the other labels keep their order."""
+    placed = dict(zip(vertices, placement))
+    rest = iter(a for a in range(config.n) if a not in placed.values())
+    source = [placed[v] if v in placed else next(rest) for v in range(config.n)]
+    return PointConfiguration(config.d, config.q, tuple(config.points[a] for a in source))
+
+
+def witness_search(d, q, graph, seed, budget):
+    """Search for a configuration on which every Tverberg partition has both
+    ends of some edge of the graph in one block; deterministic given the seed.
+
+    Each draw's records are listed once and their hit masks built once.  The
+    placements of the graph's vertices on distinct labels are tried depth
+    first (vertices in increasing order, each on the smallest free label
+    first), and a placement whose edges' masks cover every record is a
+    witness: its draw is returned relabelled so that the placement becomes
+    the graph itself.  `budget` bounds the placements tried across draws, a
+    refused (Degenerate) draw counting as one, so a graph with many vertices
+    stops within it on its first draw.  `drivers.witness_report` checks a
+    witness once with the exact LP oracle.
     """
+    n = point_count(d, q)
+    vertices = sorted({v for edge in graph.edges for v in edge})
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = [(index[a], index[b]) for a, b in sorted(graph.edges)]
     rng = SplitMix64(seed)
-    for _ in range(budget):
+    while budget > 0:
         config = sample_configuration(d, q, rng, WITNESS_COORD_BOUND)
         try:
-            if all(_classify(p, config) is None for p in candidates):
-                return config
+            records = tverberg_records(config)
         except Degenerate:
+            budget -= 1
             continue
+        masks = hit_masks(records, n)
+        every = (1 << len(records)) - 1
+        for placement in islice(permutations(range(n), len(vertices)), budget):
+            budget -= 1
+            covered = 0
+            for i, j in edges:
+                covered |= masks[placement[i]][placement[j]]
+            if covered == every:
+                return _relabelled(config, vertices, placement)
     return None

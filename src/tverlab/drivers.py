@@ -10,14 +10,13 @@ from itertools import combinations
 
 from .constraints import (
     CompleteK,
-    ConstraintGraph,
     Cycle,
     DisjointUnion,
     Path,
     Star,
     avoiding_candidates,
-    constrained_records,
     family_admissible,
+    hit_masks,
     instantiate,
     sample_configuration,
     witness_search,
@@ -110,11 +109,12 @@ def single_edge_constraint_campaign(samples, seed, d=2, q=3):
     edges = list(combinations(range(n), 2))
     violations = []
     for index in range(samples):
-        config, records = sample_classified_configuration(d, q, rng)
-        for edge in edges:
-            graph = ConstraintGraph(n, frozenset([edge]))
-            if not constrained_records(records, graph):
-                violations.append({"sample": index, "edge": edge})
+        _, records = sample_classified_configuration(d, q, rng)
+        masks = hit_masks(records, n)
+        every = (1 << len(records)) - 1
+        violations += (
+            {"sample": index, "edge": (a, b)} for a, b in edges if masks[a][b] == every
+        )
     return {
         "d": d, "q": q, "samples": samples, "seed": seed,
         "ok": not violations, "edges_per_sample": len(edges), "violations": violations,
@@ -126,14 +126,18 @@ def witness_report(d, q, graph, seed, budget):
     check a found witness once with the exact LP oracle.
 
     `verified` is the oracle's verdict that no avoiding candidate's hulls
-    meet, and `ok` follows it; a search that finds nothing is ok.  A graph
-    no candidate avoids is refused, as every draw would pass unchecked."""
-    candidates = avoiding_candidates(graph, d, q)
-    if not candidates:
-        raise InvalidParameters(f"no candidate at (d, q) = ({d}, {q}) avoids {sorted(graph.edges)}")
-    witness = witness_search(d, q, candidates, seed, budget)
+    meet, and `ok` follows it; a search that finds nothing is ok.  The
+    avoiding candidates are listed only for a found witness.  A graph no
+    candidate avoids is then refused: every placement on every draw is a
+    witness, which no LP would check."""
+    witness = witness_search(d, q, graph, seed, budget)
     report = {"found": witness is not None}
     if witness is not None:
+        candidates = avoiding_candidates(graph, d, q)
+        if not candidates:
+            raise InvalidParameters(
+                f"no candidate at (d, q) = ({d}, {q}) avoids {sorted(graph.edges)}"
+            )
         hits = tverberg_records_oracle(witness, candidates)
         report["witness"] = [[format_scalar(c) for c in p] for p in witness.points]
         report["verified"] = not hits

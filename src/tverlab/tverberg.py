@@ -50,9 +50,9 @@ the (d+1)-subsets that contain it (`_exact_covers`), and the records are
 sorted by the restricted-growth string of their partition, which is the
 order of `enumerate_candidate_partitions`.
 
-`is_tverberg` and `constraints.witness_search` classify one candidate at
-a time (`_classify`): the same `_low_point`, then `_inside` for each full
-block.
+Only `is_tverberg` classifies one candidate at a time (`_classify`): the
+same `_low_point`, then `_inside` for each full block.  The witness search
+reads `tverberg_records`, as every other caller does.
 
 The Degenerate contract is "refuse, never guess": a count refuses only
 when a decision it actually makes lands on a boundary.  Point-first and

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -309,6 +310,16 @@ def test_search_single_edge_absent():
     assert json.loads(proc.stdout)["found"] is False
 
 
+def test_search_budget_bounds_the_placements_of_one_draw(capsys):
+    # path12 fills the 13 labels at (2, 5): about 6 * 10^9 placements a draw
+    start = time.perf_counter()
+    code = cli.main(["search", "--d", "2", "--q", "5", "--graph", "path12", "--budget", "50"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["found"] is False
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "graph,extra,found",
     [("star2", (), True), ("edges:0-1", ("--budget", "40"), False)],
@@ -324,9 +335,9 @@ def test_search_report_ok(capsys, graph, extra, found):
 
 
 def test_search_verified_is_the_lp_verdict(capsys, monkeypatch):
-    # A classifier that finds no Tverberg partition turns the first draw into
-    # a witness, which the exact LP then refutes.
-    monkeypatch.setattr(constraints, "_classify", lambda partition, config: None)
+    # Records that list no Tverberg partition turn the first placement on the
+    # first draw into a witness, which the exact LP then refutes.
+    monkeypatch.setattr(constraints, "tverberg_records", lambda config: [])
     code = cli.main(["search", "--q", "3", "--d", "2", "--graph", "star2", "--seed", "1"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1

@@ -1,10 +1,11 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tverlab.constraints import (
+    WITNESS_COORD_BOUND,
     CompleteK,
     ConstraintGraph,
     Cycle,
@@ -15,6 +16,7 @@ from tverlab.constraints import (
     avoids,
     constrained_records,
     family_admissible,
+    hit_masks,
     instantiate,
     sample_configuration,
     witness_search,
@@ -182,28 +184,62 @@ def test_admissible_families_leave_records(q, d):
         assert constrained_records(records, g)
 
 
+def test_hit_masks_are_the_records_each_edge_hits():
+    config, records = _sample(2, 3, 4)
+    masks = hit_masks(records, 7)
+    for a, b in combinations(range(7), 2):
+        g = ConstraintGraph(7, frozenset([(a, b)]))
+        hit = sum(1 << i for i, r in enumerate(records) if not avoids(r.partition, g))
+        assert masks[a][b] == masks[b][a] == hit
+    assert all(masks[a][a] == 0 for a in range(7))
+
+
 def test_witness_search_budget_zero():
-    g = instantiate(Star(2), 7)
-    assert witness_search(2, 3, avoiding_candidates(g, 2, 3), seed=1, budget=0) is None
+    assert witness_search(2, 3, instantiate(Star(2), 7), seed=1, budget=0) is None
 
 
 def test_witness_search_single_edge_absent():
-    # K_2 is a constraint graph, so no witness can exist
+    # K_2 is a constraint graph, so no witness can exist; 60 draws of the
+    # 7 * 6 placements of an edge
     g = ConstraintGraph(7, frozenset([(0, 1)]))
-    assert witness_search(2, 3, avoiding_candidates(g, 2, 3), seed=1, budget=60) is None
-
-
-def test_witness_search_star2_finds_and_verifies():
-    g = instantiate(Star(2), 7)
-    candidates = avoiding_candidates(g, 2, 3)
-    witness = witness_search(2, 3, candidates, seed=1, budget=5000)
-    assert witness is not None
-    assert constrained_records(tverberg_records(witness), g) == []
-    assert tverberg_records_oracle(witness, candidates) == []
+    assert witness_search(2, 3, g, seed=1, budget=60 * 7 * 6) is None
 
 
 def test_witness_search_deterministic():
-    candidates = avoiding_candidates(instantiate(Star(2), 7), 2, 3)
-    a = witness_search(2, 3, candidates, seed=1, budget=5000)
-    b = witness_search(2, 3, candidates, seed=1, budget=5000)
+    g = instantiate(Star(2), 7)
+    a = witness_search(2, 3, g, seed=1, budget=5000)
+    b = witness_search(2, 3, g, seed=1, budget=5000)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        instantiate(Star(2), 7),
+        instantiate(CompleteK(3), 7),
+        ConstraintGraph(7, frozenset([(5, 2), (5, 6)])),  # K_{1,2} centred on label 5
+    ],
+    ids=["star2", "k3", "star2-on-2-5-6"],
+)
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_relabelled_witnesses_are_lp_verified(graph, seed):
+    # The search returns its draw relabelled so that the covering placement
+    # is the requested graph; no avoiding record or candidate is left.
+    witness = witness_search(2, 3, graph, seed, budget=5000)
+    assert witness is not None
+    assert constrained_records(tverberg_records(witness), graph) == []
+    assert tverberg_records_oracle(witness, avoiding_candidates(graph, 2, 3)) == []
+
+
+def test_witness_is_a_relabelled_draw():
+    g = ConstraintGraph(7, frozenset([(5, 2), (5, 6)]))
+    witness = witness_search(2, 3, g, seed=1, budget=5000)
+    draw = sample_configuration(2, 3, SplitMix64(1), WITNESS_COORD_BOUND)
+    assert sorted(witness.points) == sorted(draw.points)
+
+
+def test_admissible_union_has_no_witness():
+    # K_2 + K_2 is admissible at q = 3: some record avoids every placement
+    spec = DisjointUnion((CompleteK(2), CompleteK(2)))
+    assert family_admissible(spec, 2, 3)
+    assert witness_search(2, 3, instantiate(spec, 7), seed=1, budget=5 * 7 * 6 * 5 * 4) is None

@@ -29,7 +29,7 @@ PINNED = {
     ),
     "search-star2": (
         ["search", "--q", "3", "--d", "2", "--graph", "star2", "--seed", "1"],
-        "a717558151ed5328889f21e9017bc0f772fc80ec7f1bca4c95e267e1378c403a",
+        "304dc69ff4e0637134594c4a235c6fea673ea1cf51cd0a29afc9c89cabe93350",
     ),
     "constrain-single-edges": (
         ["constrain", "--samples", "3", "--seed", "3"],
