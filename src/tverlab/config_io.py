@@ -40,10 +40,9 @@ def parse_configuration(text) -> PointConfiguration:
         if not line:
             continue
         if d is None:
-            parts = dict(
-                kv.split("=", 1) for kv in line.split() if "=" in kv
-            )
-            if set(parts) != {"d", "q"}:
+            tokens = line.split()
+            parts = dict(kv.split("=", 1) for kv in tokens if "=" in kv)
+            if len(tokens) != 2 or set(parts) != {"d", "q"}:
                 raise ParseError("header must be 'd=<int> q=<int>'", lineno)
             try:
                 d, q = int(parts["d"]), int(parts["q"])

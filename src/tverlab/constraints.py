@@ -19,7 +19,7 @@ from .rng import SplitMix64
 from .tverberg import is_prime_power, tverberg_records
 
 WITNESS_COORD_BOUND = 1 << 10
-SAMPLE_COORD_BOUND = 1 << 20
+SAMPLE_COORD_BOUND = 1 << 20  # sampled coordinates, Birch's too, lie in [-bound, bound]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import math
 from itertools import combinations
 
 from .constraints import (
+    SAMPLE_COORD_BOUND,
     CompleteK,
     Cycle,
     DisjointUnion,
@@ -55,7 +56,6 @@ FACTOR_FACET_BUDGET = 25_000  # goodness campaign: largest factor checked
 STAR_WITNESS_D, STAR_WITNESS_Q = 2, 3  # where K_{1,2} is inadmissible
 STAR_WITNESS_GRAPH = instantiate(Star(2), point_count(STAR_WITNESS_D, STAR_WITNESS_Q))
 BIRCH_PAIRS = ((1, 2), (1, 3), (2, 2))  # (d, k) of the Birch campaign
-BIRCH_COORD_BOUND = 1 << 20  # Birch sample coordinates lie in [-bound, bound]
 STRUCTURAL_MAX_L = 5  # largest l of the C/D/E facet-count checks
 IDENTITY_CASES = ((3, 5), (4, 5), (5, 5))  # (l, q) of the intersection identities
 
@@ -129,7 +129,11 @@ def witness_report(d, q, graph, seed, budget):
     meet, and `ok` follows it; a search that finds nothing is ok.  The
     avoiding candidates are listed only for a found witness.  A graph no
     candidate avoids is then refused: every placement on every draw is a
-    witness, which no LP would check."""
+    witness, which no LP would check.  A graph with no edges is refused
+    before any draw: every configuration has a Tverberg partition, and each
+    one avoids it."""
+    if not graph.edges:
+        raise InvalidParameters("a graph with no edges has no witness")
     witness = witness_search(d, q, graph, seed, budget)
     report = {"found": witness is not None}
     if witness is not None:
@@ -172,7 +176,7 @@ def _sample_birch(d, k, rng):
     origin = tuple([0] * d)
     while True:
         pts = tuple(
-            tuple(rng.randint(-BIRCH_COORD_BOUND, BIRCH_COORD_BOUND) for _ in range(d))
+            tuple(rng.randint(-SAMPLE_COORD_BOUND, SAMPLE_COORD_BOUND) for _ in range(d))
             for _ in range(k * (d + 1))
         )
         config = PointConfiguration(d, k + 1, pts + (origin,))

@@ -9,9 +9,10 @@ each row's denominators and runs fraction-free Gauss-Jordan elimination on
 plain integers, with the two integer steps of `lp`.  A result that needs
 division becomes a Fraction only when it is returned.  `det` has closed
 forms up to 3x3, and 1 for the empty matrix: these serve the determinant
-table up to d = 3 and the Tverberg classifier's Cramer minors up to d = 4,
-so `_reduce` is off the classifier's hot path there; the classifier calls it
-directly only when every Cramer minor of a candidate vanishes.
+table up to d = 3 and the Cramer minors of a type II(k >= 3) family's
+point up to d = 4, so `_reduce` is off the Tverberg enumeration's hot path
+there; the enumeration calls it directly only when every Cramer minor of a
+family vanishes.
 
 `hull_membership` is the one point-in-simplex predicate for explicit
 points.  `common_point` goes through the exact LP instead (the same integer

@@ -12,23 +12,22 @@ or the affine-hull intersection point of the low-dimensional blocks
 (type II).
 
 Everything reads the configuration's determinant table D (see `geometry`)
-and computes with integers.  One formula gives every type's point:
-x = sum_F w_a a / sum_F w_a over the labels of the first low block F.  Each
-other low block B is completed to the simplex S_B = B u Y_B, Y_B the first
-d+1-|B| labels of F, and x lies in aff(B) iff for every y in Y_B
+and computes with integers.  A type II point is x = sum_F w_a a / sum_F w_a
+over the labels of the first low block F.  Each other low block B is
+completed to the simplex S_B = B u Y_B, Y_B the first d+1-|B| labels of F,
+and x lies in aff(B) iff for every y in Y_B
 
     sum_F w_a D(S_B with y -> a) = 0,
 
 |F|-1 equations in |F| unknowns.  Cramer's rule solves them (`_low_point`):
-w_c = (-1)^c times the minor without column c, so a Type I singleton (no
-equations) gets w = [1].  With sum(w) > 0, D being linear in each
-homogeneous row, a simplex S (a full block, or S_B at B's places) has x
-strictly inside iff every sum_F w_a D(S with s_i -> a) has the sign of
-D(S) (`_inside`).  A zero sum(w) with some w_c != 0 means the hulls meet
-only at infinity.  If every w_c is 0, the equations are rank deficient,
-and the hulls meet in more than a point (Degenerate) or not at all (None)
-as the equations plus sum(w) = 1 are consistent or not, which one
-`_reduce` decides on this cold path.  A `Fraction` is built only for a
+w_c = (-1)^c times the minor without column c.  With sum(w) > 0, D being
+linear in each homogeneous row, a simplex S (a full block, or S_B at B's
+places) has x strictly inside iff every sum_F w_a D(S with s_i -> a) has
+the sign of D(S) (`_inside`).  A zero sum(w) with some w_c != 0 means the
+hulls meet only at infinity.  If every w_c is 0, the equations are rank
+deficient, and the hulls meet in more than a point (Degenerate) or not at
+all (None) as the equations plus sum(w) = 1 are consistent or not, which
+one `_reduce` decides on this cold path.  A `Fraction` is built only for a
 type II point.
 
 `tverberg_records` enumerates points first.  Each (d+2)-subset U has one
@@ -50,26 +49,12 @@ the (d+1)-subsets that contain it (`_exact_covers`), and the records are
 sorted by the restricted-growth string of their partition, which is the
 order of `enumerate_candidate_partitions`.
 
-Only `is_tverberg` classifies one candidate at a time (`_classify`): the
-same `_low_point`, then `_inside` for each full block.  The witness search
-reads `tverberg_records`, as every other caller does.
-
 The Degenerate contract is "refuse, never guess": a count refuses only
-when a decision it actually makes lands on a boundary.  Point-first and
-classifying the candidates one by one make different decisions:
-
-  * a k >= 3 family that is not pairwise meeting is decided by the
-    nonzero signs of the dependencies and never reaches `_low_point`, so
-    point-first counts a draw where such a family's affine hulls meet in
-    more than a point, or in a point on one block's boundary and outside
-    another block, which classifying that family's candidates refuses;
-  * point-first tests a type II point against every (d+1)-subset of the
-    remaining labels, so it refuses whenever such a point lies on the
-    boundary of any of them, even where classifying the candidates would
-    have rejected every candidate holding that simplex for another reason
-    first.  At q = 3 a type II(2) point leaves one full block, so this
-    cannot happen, and point-first refuses only draws that candidate-first
-    refuses too.
+when a decision it makes lands on a boundary.  It tests each type II point
+against every (d+1)-subset of the labels outside its low blocks, so such a
+point on any of their boundaries stops it, and it tries a k >= 3 family
+only if its blocks pairwise meet.  `is_tverberg` looks its candidate up in
+`tverberg_records`, so it refuses exactly the draws a count refuses.
 
 A Birch partition of k(d+1) points around p (Birch 1959) is the same thing
 as a type I partition of the points plus p whose singleton is p, so
@@ -141,11 +126,7 @@ def _inside(table, simplex, positions, weights, labels, message):
 
 def _cramer(rows, m):
     """The w with sum_c row[c] * w_c = 0 for each of the m-1 rows: w_c is
-    (-1)^c times the minor without column c, in closed form for m = 2, 3.
-    No rows (m = 1) give [1]."""
-    if m == 2:
-        ((a, b),) = rows
-        return [b, -a]
+    (-1)^c times the minor without column c, in closed form for m = 3."""
     if m == 3:
         (a, b, c), (e, f, g) = rows
         return [b * g - c * f, c * e - a * g, a * f - b * e]
@@ -195,10 +176,8 @@ def _low_point(low, table, d):
 
 
 def _point(first, weights, total, config):
-    """The point sum(w_a * a) / total over the labels `first`: the label's
-    own point for a singleton, else a tuple of Fractions."""
-    if len(first) == 1:
-        return config.points[first[0]]
+    """The point sum(w_a * a) / total over the labels `first`, a tuple of
+    Fractions."""
     lcm, pts = config.cleared
     return tuple(
         Fraction(sum(w * pts[a][t] for w, a in zip(weights, first)), total * lcm)
@@ -206,38 +185,14 @@ def _point(first, weights, total, config):
     )
 
 
-def _classify(partition, config):
-    """The record of a candidate whose blocks are sorted label tuples, or
-    None; the configuration is in effective general position.  The low
-    blocks' point (`_low_point`), then each full block must contain it."""
-    d = config.d
-    table = config.determinants
-    low = [b for b in partition if len(b) <= d]
-    found = _low_point(low, table, d)
-    if found is None:
-        return None
-    weights, total = found
-    first = low[0]
-    on_boundary = "singleton on a block-hull boundary" if len(low) == 1 else FULL_BOUNDARY
-    for simplex in partition:
-        if len(simplex) == d + 1 and not _inside(
-            table, simplex, range(d + 1), weights, first, on_boundary
-        ):
-            return None
-    return TverbergRecord(canonical(partition), len(low), _point(first, weights, total, config))
-
-
 def is_tverberg(partition, config: PointConfiguration):
-    """Classify a candidate partition; returns a TverbergRecord or None.
+    """The record of a candidate partition in `tverberg_records(config)`,
+    or None.
 
     A candidate has q blocks of at most d+1 labels each, the labels 0..n-1
-    once each, so its blocks fall short of d+1 points by d in total.  A lone
-    low block is therefore a singleton (type I); otherwise there are
-    2 <= k <= min(d, q) low blocks (type II(k)).  Raises InvalidParameters
-    for any other partition, Degenerate for a configuration not in effective
-    general position, and Degenerate whenever an exact verdict lands on a
-    boundary, so a non-generic input is surfaced rather than silently
-    resolved.
+    once each; any other partition raises InvalidParameters.  The lookup
+    lists every record of the configuration, so it raises Degenerate
+    exactly when a count does (see the module docstring).
     """
     d, q = config.d, config.q
     sizes = list(map(len, partition))
@@ -247,9 +202,8 @@ def is_tverberg(partition, config: PointConfiguration):
         or sorted(x for blk in partition for x in blk) != list(range(config.n))
     ):
         raise InvalidParameters("not a candidate partition")
-    if not effective_general_position(config):
-        raise Degenerate("configuration not in effective general position")
-    return _classify([tuple(sorted(blk)) for blk in partition], config)
+    target = canonical(partition)
+    return next((r for r in tverberg_records(config) if r.partition == target), None)
 
 
 def _dependency(table, u):

@@ -67,6 +67,13 @@ def test_parse_missing_header():
         parse_configuration("0 0\n1 1\n")
 
 
+@pytest.mark.parametrize("header", ["d=1 q=2 junk", "d=1 q=2 d=2", "d=1 q=2 q=2", "d=1"])
+def test_parse_header_is_exactly_d_and_q(header):
+    with pytest.raises(ParseError, match="header") as exc:
+        parse_configuration(header + "\n0\n1\n2\n")
+    assert exc.value.line == 1
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "tverlab.cli", *args],
@@ -150,6 +157,12 @@ def test_usage_error_exit_2():
             id="budget0",
         ),
         pytest.param(("verify-all", "--budget", "0"), {}, id="verify-all-budget0"),
+        # No configuration is a witness for a graph with no edges; refused
+        # before any draw, not after the default budget of 100000 placements.
+        pytest.param(("search", "--q", "3", "--d", "2", "--graph", "k1"), {}, id="search-k1"),
+        pytest.param(
+            ("search", "--q", "3", "--d", "2", "--graph", "k1+k1"), {}, id="search-k1+k1"
+        ),
         # K_4 leaves no avoiding candidate at (2, 3), so there is nothing to check.
         pytest.param(
             ("search", "--q", "3", "--d", "2", "--graph", "k4", "--seed", "1"),

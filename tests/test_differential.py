@@ -2,7 +2,8 @@
 
 `tverberg_records` enumerates points first and lists each point's full
 blocks as exact covers (see `tverberg`).  The candidate-first loop, kept
-here only as a reference, runs `_classify` over every candidate of
+here only as a reference, runs `_classify`, built from the same
+`_low_point` and `_inside` kernels, over every candidate of
 `enumerate_candidate_partitions`; the two must give equal record lists
 (partition, type, k, point, order).  On boundary-prone draws (small
 coordinates) a draw that point-first refuses (`Degenerate`) must be refused
@@ -16,8 +17,10 @@ whose denominators the table clears first, and every record's point must
 lie strictly inside each of its blocks.
 
 On the two boundary constructions of `test_ground_truth`, every verdict
-`is_tverberg` does give must match the LP, and each refusal (`Degenerate`)
-must be a candidate whose hulls the LP finds touching.
+the reference does give must match the LP, and each refusal (`Degenerate`)
+must be a candidate whose hulls the LP finds touching; `is_tverberg`, a
+lookup in `tverberg_records`, refuses every candidate of both.  On seeded
+draws it gives each candidate's record or None.
 
 `birch_records` lists the exact covers of the first n-1 labels by the
 simplices that contain p, the configuration's last point; it must list
@@ -45,10 +48,14 @@ from tverlab.geometry import (
     hull_membership,
     points_in_general_position,
 )
-from tverlab.partitions import enumerate_candidate_partitions, partitions_with_max_block
+from tverlab.partitions import canonical, enumerate_candidate_partitions, partitions_with_max_block
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import (
-    _classify,
+    FULL_BOUNDARY,
+    TverbergRecord,
+    _inside,
+    _low_point,
+    _point,
     birch_records,
     is_tverberg,
     tverberg_records,
@@ -58,6 +65,28 @@ from tverlab.tverberg import (
 TIER1_PAIRS = [(1, 3), (1, 4), (2, 3), (3, 3)]
 BIRCH_BOUNDS = (3, 30, 1000)  # coordinate bounds the Birch draws cycle through
 BOUNDARY_BOUNDS = (3, 4, 5, 6)  # coordinate bounds the boundary-prone draws cycle through
+
+
+def _classify(partition, config):
+    """The record of a candidate whose blocks are sorted label tuples, or
+    None; the configuration is in effective general position.  The low
+    blocks' point (`_low_point`), then each full block must contain it."""
+    d = config.d
+    table = config.determinants
+    low = [b for b in partition if len(b) <= d]
+    found = _low_point(low, table, d)
+    if found is None:
+        return None
+    weights, total = found
+    first = low[0]
+    on_boundary = "singleton on a block-hull boundary" if len(low) == 1 else FULL_BOUNDARY
+    for simplex in partition:
+        if len(simplex) == d + 1 and not _inside(
+            table, simplex, range(d + 1), weights, first, on_boundary
+        ):
+            return None
+    point = config.points[first[0]] if len(low) == 1 else _point(first, weights, total, config)
+    return TverbergRecord(canonical(partition), len(low), point)
 
 
 def _candidate_first(config):
@@ -173,18 +202,34 @@ def test_paths_agree_on_boundary_prone_draws(d, q, draws):
 )
 def test_boundary_verdicts_match_lp_oracle(build):
     config, _ = build()
-    refused = 0
+    refused = candidates = 0
     for partition in enumerate_candidate_partitions(config.d, config.q):
+        candidates += 1
+        with pytest.raises(Degenerate, match="boundary"):
+            is_tverberg(partition, config)
         blocks = [[config.points[i] for i in blk] for blk in partition]
         meet = common_point(blocks, config.d) is not None
         try:
-            record = is_tverberg(partition, config)
+            record = _classify(partition, config)
         except Degenerate as exc:
             assert "boundary" in str(exc) and meet, partition
             refused += 1
             continue
         assert (record is not None) == meet, partition
-    assert refused >= 1
+    assert 1 <= refused < candidates
+
+
+@pytest.mark.parametrize("d,q", [(1, 3), (2, 3), (3, 3)])
+def test_is_tverberg_looks_up_the_records(d, q):
+    """Every candidate of a seeded draw gets its record or None."""
+    config, records = _classified(d, q, 31, False)
+    by_partition = {r.partition: r for r in records}
+    hits = 0
+    for partition in enumerate_candidate_partitions(d, q):
+        record = is_tverberg(partition, config)
+        assert record == by_partition.get(partition)
+        hits += record is not None
+    assert hits == len(records) > 0
 
 
 @pytest.mark.parametrize("d,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])

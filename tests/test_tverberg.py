@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 
 from tverlab.constraints import sample_configuration
 from tverlab.errors import Degenerate, InvalidParameters
-from tverlab.geometry import PointConfiguration, barycentric_coordinates, effective_general_position
+from tverlab.geometry import (
+    PointConfiguration,
+    barycentric_coordinates,
+    det,
+    effective_general_position,
+)
 from tverlab.partitions import enumerate_candidate_partitions
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import (
+    _cramer,
     birch_records,
     counting_report,
     is_prime_power,
@@ -90,6 +96,17 @@ def test_is_tverberg_rejects_non_candidates(partition, config):
     with pytest.raises(InvalidParameters) as exc:
         is_tverberg(partition, config)
     assert str(exc.value) == "not a candidate partition"
+
+
+def test_cramer_closed_form_at_three_columns():
+    # The weights of a type II(3) family's point whose first block has 3 labels.
+    rng = SplitMix64(13)
+    for _ in range(200):
+        rows = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(2)]
+        weights = _cramer(rows, 3)
+        minors = [(-1) ** c * det([row[:c] + row[c + 1 :] for row in rows]) for c in range(3)]
+        assert weights == minors
+        assert all(sum(x * w for x, w in zip(row, weights)) == 0 for row in rows)
 
 
 def test_degenerate_refused():
