@@ -1,25 +1,24 @@
 """Reduced simplicial homology over the integers, in three passes.
 
-1. Faces: the boundary matrices of the skeleton the computation reads,
-   the empty face (augmentation) included.
+1. Faces: the skeleton the computation reads, built top-down; each face's
+   boundary is a tuple of positions one dimension down (the empty face, the
+   augmentation, included), its signs implied by the entry's place.
 2. Coreduction (Mrozek and Batko, "Coreduction homology algorithm", 2009):
-   a cell whose remaining boundary is a single face is removed together
-   with that face.  Entries stay +-1 and nothing fills in, and almost every
-   cell of a chessboard-type complex goes this way.
-3. Smith normal form of what is left in each dimension: unit pivots are
-   eliminated with a sparse Markowitz-style sweep (no coefficient growth),
-   and whatever small residual remains goes through a classic dense Smith
-   reduction, which finds the torsion.
+   a cell with a single live face is paired off with that face.  Cells keep
+   a count of their live faces, nothing is rewritten or fills in, and
+   almost every cell of a chessboard-type complex goes this way.
+3. Smith normal form of the signed +-1 columns of the cells left: unit
+   pivots are eliminated with a sparse Markowitz-style sweep (no coefficient
+   growth), and whatever small residual remains goes through a classic
+   dense Smith reduction, which finds the torsion.
 
-Only the skeleton a computation reads is built: homology through
-dimension k builds the faces of dimensions 0..k+1, one dimension at a time
-from the facets.  A computation that builds more than `FACE_BUDGET` faces
-is refused, to keep desk-scale runs bounded.
+Homology through dimension k builds only the faces of dimensions 0..k+1; a
+computation building more than `FACE_BUDGET` faces is refused.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, compress, count, repeat
 
 from .errors import BudgetExceeded
 from .complexes import SimplicialComplex
@@ -164,87 +163,85 @@ def smith_invariants(cols):
 # Boundary matrices and homology
 
 def boundary_matrices(K: SimplicialComplex, top):
-    """Sparse boundary matrices of the reduced chain complex in dimensions
-    0..min(top, dim K).
+    """Boundaries of the reduced chain complex in dimensions 0..min(top, dim K).
 
-    Each vertex is replaced by its rank, its position in sorted(K.vertices);
-    ranks keep the order of the vertices, so listing faces as sorted rank
-    tuples keeps the order and the matrices that sorted vertex tuples give.
-    Each dimension's faces are built from the facets, listed in sorted
-    order, and indexed only against the dimension below.  The faces built
-    so far are checked against the face budget before each dimension's
-    matrix is built.  Returns (by_dim, matrices) where by_dim[i] lists the
-    dimension-i faces as rank tuples and matrices[i] maps them (columns) to
-    their dimension-(i-1) boundary; matrices[0] is the augmentation into
-    the empty face.
+    Faces are sorted tuples of vertex ranks (positions in sorted(K.vertices)),
+    which keep the order of sorted vertex tuples.  The top dimension comes
+    from the facets, each lower one from the faces of the one above plus the
+    facets of its size; the faces built so far are checked against the face
+    budget before each dimension's boundaries.  Returns (by_dim, boundaries):
+    by_dim[i] lists the dimension-i faces in sorted order and boundaries[i][b]
+    the positions in by_dim[i-1] of the faces of by_dim[i][b], its last
+    vertex dropped first, so entry j has the sign (-1)^(i-j); boundaries[0]
+    is the augmentation into the empty face.
     """
     rank = {v: i for i, v in enumerate(sorted(K.vertices))}
-    facets = [sorted(map(rank.__getitem__, f)) for f in K.facets]
-    by_dim, matrices = {}, {}
-    index = {(): 0}  # the empty face, target of the augmentation
+    facets = [tuple(sorted(map(rank.__getitem__, f))) for f in K.facets]
+    top = min(top, K.dim)
+    faces = sorted(set(chain.from_iterable(map(combinations, facets, repeat(top + 1)))))
+    by_dim, boundaries = {}, {}
     built = 0
-    for dim in range(min(top, K.dim) + 1):
-        faces = {s for f in facets for s in combinations(f, dim + 1)}
+    for dim in range(top, -1, -1):
         built += len(faces)
         if built > FACE_BUDGET:
             raise BudgetExceeded(f"{built} faces exceed the budget {FACE_BUDGET}")
-        faces = sorted(faces)
-        # combinations drops the last vertex first: signs (-1)^dim .. (-1)^0
-        signs = [(-1) ** j for j in range(dim, -1, -1)]
-        matrices[dim] = {
-            pos: dict(zip(map(index.__getitem__, combinations(f, dim)), signs))
-            for pos, f in enumerate(faces)
-        }
         by_dim[dim] = faces
-        index = {f: pos for pos, f in enumerate(faces)}
-    return by_dim, matrices
+        lower = set(chain.from_iterable(map(combinations, faces, repeat(dim))))
+        lower.update(f for f in facets if len(f) == dim)
+        upper, faces = faces, sorted(lower)
+        index = dict(zip(faces, count()))
+        # the faces' positions in one stream, cut into one tuple per face
+        positions = map(index.__getitem__, chain.from_iterable(map(combinations, upper, repeat(dim))))
+        boundaries[dim] = list(zip(*[positions] * (dim + 1)))
+    return by_dim, boundaries
 
 
-def _coreduce(matrices):
-    """Remove coreduction pairs from the output of `boundary_matrices`, in
-    place; returns nothing.
+def _coreduce(boundaries):
+    """Coreduction of the output of `boundary_matrices`; returns live, where
+    live[i] flags the dimension-i cells left (live[-1]: the empty face).
 
-    A pair is a live cell b whose remaining boundary is exactly one live
-    face a; every entry is +-1, and no entry ever changes.  Removing both
-    leaves the homology as it was: b's column holds only that unit, so the
-    Schur complement of the pivot is the plain restriction, and by dd = 0
-    the row of b in the next matrix vanishes once a's row is cleared.  The
-    pass starts by pairing the empty face with vertex 0, then takes cells
-    first in, first out, each cell's cofaces in face-index order.
-    Afterwards matrices[i] holds only the live cells of dimension i, each
-    with its live faces, and the Smith form takes whatever is left.
+    A pair is a live cell b whose live boundary is exactly one face a; every
+    entry is +-1.  Removing both leaves the homology as it was: b's column
+    holds only that unit, so the Schur complement of the pivot is the plain
+    restriction, and by dd = 0 the row of b in the next matrix vanishes once
+    a's row is cleared.  The pass pairs vertex 0 with the empty face, then
+    takes cells first in, first out, each cell's cofaces in face-index order.
     """
+    live = {-1: bytearray(b"\x01")}
+    live_faces = {}  # dim -> how many live faces each dimension-dim cell has
     cofaces = {}  # dim -> dim-1 face position -> its cofaces, in face-index order
-    for dim, cols in matrices.items():
-        lists = cofaces[dim] = [[] for _ in range(len(matrices[dim - 1]) if dim else 1)]
-        for b, col in cols.items():
-            for a in col:
+    for dim, cells in boundaries.items():
+        live[dim] = bytearray(b"\x01") * len(cells)
+        live_faces[dim] = bytearray([dim + 1]) * len(cells)
+        lists = cofaces[dim] = [[] for _ in range(len(boundaries[dim - 1]) if dim else 1)]
+        for b, faces in enumerate(cells):
+            for a in faces:
                 lists[a].append(b)
-    queue = deque()
 
     def remove(dim, cell):
-        """Drop a live cell; queue each coface left with one face."""
-        if dim >= 0:
-            del matrices[dim][cell]
+        """Drop a live cell; queue each coface left with one live face."""
+        live[dim][cell] = 0
         if dim + 1 not in cofaces:
             return
+        up_live, up_faces = live[dim + 1], live_faces[dim + 1]
         for c in cofaces[dim + 1][cell]:
-            boundary = matrices[dim + 1].get(c)
-            if boundary is not None:
-                del boundary[cell]
-                if len(boundary) == 1:
+            if up_live[c]:
+                up_faces[c] -= 1
+                if up_faces[c] == 1:
                     queue.append((dim + 1, c))
 
-    remove(-1, 0)  # the empty face, paired with vertex 0
-    remove(0, 0)
+    queue = deque([(0, 0)])  # vertex 0 pairs with the empty face first
     while queue:
         dim, b = queue.popleft()
-        boundary = matrices[dim].get(b)
-        if boundary is None or len(boundary) != 1:
+        if not live[dim][b] or live_faces[dim][b] != 1:
             continue
-        (a,) = boundary
+        lower = live[dim - 1]
+        for a in boundaries[dim][b]:
+            if lower[a]:
+                break
         remove(dim - 1, a)
         remove(dim, b)
+    return live
 
 
 @dataclass
@@ -268,16 +265,19 @@ def reduced_homology(K: SimplicialComplex, up_to=None) -> HomologyProfile:
     if not K.facets:
         return HomologyProfile()
     top = K.dim if up_to is None else min(up_to, K.dim)
-    matrices = boundary_matrices(K, top + 1)[1]
-    _coreduce(matrices)
-    rank = {}
-    torsion_from = {}
-    for dim, cols in matrices.items():
+    boundaries = boundary_matrices(K, top + 1)[1]
+    live = _coreduce(boundaries)
+    rank, torsion_from = {}, {}
+    for dim, cells in boundaries.items():
+        lower = live[dim - 1]
+        signs = [(-1) ** (dim - j) for j in range(dim + 1)]
+        live_cells = compress(range(len(cells)), live[dim])
+        cols = {b: {a: s for a, s in zip(cells[b], signs) if lower[a]} for b in live_cells}
         rank[dim], torsion_from[dim] = smith_invariants(cols)
 
     profile = HomologyProfile()
     for i in range(0, top + 1):
-        profile.betti[i] = len(matrices[i]) - rank[i] - rank.get(i + 1, 0)
+        profile.betti[i] = live[i].count(1) - rank[i] - rank.get(i + 1, 0)
         profile.torsion[i] = torsion_from.get(i + 1, [])
     return profile
 

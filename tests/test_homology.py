@@ -163,10 +163,33 @@ def test_face_budget_counts_the_skeleton_read(monkeypatch):
         reduced_homology(K)
 
 
+def _signed_columns(boundaries):
+    """The boundaries as signed columns: col -> {row: (-1)^(dim-j)}, entry
+    j of a face's boundary tuple being row j."""
+    return {
+        dim: {b: {a: (-1) ** (dim - j) for j, a in enumerate(faces)} for b, faces in enumerate(cells)}
+        for dim, cells in boundaries.items()
+    }
+
+
+def _live_columns(boundaries, live):
+    """The signed columns of the cells coreduction leaves, each with its live faces."""
+    return {
+        dim: {
+            b: {a: v for a, v in col.items() if live[dim - 1][a]}
+            for b, col in cols.items()
+            if live[dim][b]
+        }
+        for dim, cols in _signed_columns(boundaries).items()
+    }
+
+
 def test_boundary_matrices_build_only_the_skeleton():
     triangle = SimplicialComplex([{0, 1, 2}])
-    by_dim, matrices = boundary_matrices(triangle, 1)
+    by_dim, boundaries = boundary_matrices(triangle, 1)
     assert by_dim == {0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 2), (1, 2)]}
+    assert boundaries == {0: [(0,), (0,), (0,)], 1: [(0, 1), (0, 2), (1, 2)]}
+    matrices = _signed_columns(boundaries)
     assert matrices[0] == {0: {0: 1}, 1: {0: 1}, 2: {0: 1}}
     # d(a, b) = b - a, rows indexed by the vertices' positions
     assert matrices[1] == {0: {1: 1, 0: -1}, 1: {2: 1, 0: -1}, 2: {2: 1, 1: -1}}
@@ -176,14 +199,17 @@ def test_boundary_matrices_build_only_the_skeleton():
 def test_boundary_matrices_list_faces_as_vertex_ranks():
     # chessboard(2, 2) is two disjoint edges on tuple labels; the ranks are
     # the positions in sorted order: (0,1) -> 0, (0,2) -> 1, (1,1) -> 2, (1,2) -> 3
-    by_dim, matrices = boundary_matrices(chessboard(2, 2), 1)
+    by_dim, boundaries = boundary_matrices(chessboard(2, 2), 1)
     assert by_dim == {0: [(0,), (1,), (2,), (3,)], 1: [(0, 3), (1, 2)]}
+    assert boundaries == {0: [(0,)] * 4, 1: [(0, 3), (1, 2)]}
+    matrices = _signed_columns(boundaries)
     assert matrices[0] == {0: {0: 1}, 1: {0: 1}, 2: {0: 1}, 3: {0: 1}}
     assert matrices[1] == {0: {0: -1, 3: 1}, 1: {1: -1, 2: 1}}
 
 
 def _vertex_tuple_boundaries(K, top):
-    """Faces as sorted vertex tuples, each face's boundary by slicing."""
+    """Faces as sorted vertex tuples, built bottom-up from the facets, each
+    face's boundary by slicing, as signed columns."""
     facets = [tuple(sorted(f)) for f in K.facets]
     by_dim, matrices, index = {}, {}, {(): 0}
     for dim in range(min(top, K.dim) + 1):
@@ -197,15 +223,23 @@ def _vertex_tuple_boundaries(K, top):
     return by_dim, matrices
 
 
+# a non-pure complex: a tetrahedron, triangles, an edge and a lone vertex,
+# so facets enter the top-down build below its top dimension
+NON_PURE = SimplicialComplex([{0, 1, 2, 3}, {2, 3, 4}, {4, 5, 6}, {1, 5}, {7}, {3, 6}])
+
+
 def test_boundary_matrices_on_ranks_match_vertex_tuples():
-    K = chessboard(4, 5)
-    by_dim, matrices = boundary_matrices(K, 3)
-    ref_by_dim, ref_matrices = _vertex_tuple_boundaries(K, 3)
-    assert matrices == ref_matrices
-    vertices = sorted(K.vertices)
-    assert {
-        dim: [tuple(vertices[i] for i in face) for face in faces] for dim, faces in by_dim.items()
-    } == ref_by_dim
+    for K in (chessboard(4, 5), NON_PURE, RP2):
+        by_dim, boundaries = boundary_matrices(K, 3)
+        ref_by_dim, ref_matrices = _vertex_tuple_boundaries(K, 3)
+        assert _signed_columns(boundaries) == ref_matrices
+        # faces are sorted rank tuples, each dimension in sorted order
+        assert all(list(face) == sorted(face) for faces in by_dim.values() for face in faces)
+        assert all(faces == sorted(faces) for faces in by_dim.values())
+        vertices = sorted(K.vertices)
+        assert {
+            dim: [tuple(vertices[i] for i in face) for face in faces] for dim, faces in by_dim.items()
+        } == ref_by_dim
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +248,9 @@ def test_boundary_matrices_on_ranks_match_vertex_tuples():
 
 def _reference_homology(K):
     """(betti, torsion) from `smith_invariants` straight on every full
-    boundary matrix, with no coreduction."""
-    by_dim, matrices = boundary_matrices(K, K.dim)
+    signed boundary matrix, built bottom-up by `_vertex_tuple_boundaries`,
+    with no coreduction."""
+    by_dim, matrices = _vertex_tuple_boundaries(K, K.dim)
     invariants = {dim: smith_invariants(cols) for dim, cols in matrices.items()}
     none = (0, [])
     betti = {
@@ -291,8 +326,8 @@ def test_chessboard_torsion_shareshian_wachs():
 
 @pytest.mark.parametrize("K,dim,factor", [(RP2, 1, 2), (chessboard(5, 5), 2, 3)])
 def test_coreduction_leaves_torsion_to_smith(K, dim, factor):
-    _by_dim, matrices = boundary_matrices(K, K.dim)
-    _coreduce(matrices)
+    _by_dim, boundaries = boundary_matrices(K, K.dim)
+    matrices = _live_columns(boundaries, _coreduce(boundaries))
     # coreduction keeps every entry +-1, so it cannot finish a torsion case
     assert any(matrices[dim + 1].values())
     assert all(v in (1, -1) for cols in matrices.values() for col in cols.values() for v in col.values())
@@ -302,7 +337,76 @@ def test_coreduction_leaves_torsion_to_smith(K, dim, factor):
 def test_coreduction_clears_the_chessboard_below_its_top():
     # chessboard(6, 6): nu = 4, so the campaign reads dimensions 0..3; every
     # cell below dimension 3 is paired off before the Smith form
-    by_dim, matrices = boundary_matrices(chessboard(6, 6), 3)
-    _coreduce(matrices)
-    assert [len(matrices[dim]) for dim in range(3)] == [0, 0, 0]
-    assert len(matrices[3]) < len(by_dim[3])
+    by_dim, boundaries = boundary_matrices(chessboard(6, 6), 3)
+    live = _coreduce(boundaries)
+    assert [live[dim].count(1) for dim in range(3)] == [0, 0, 0]
+    assert live[3].count(1) < len(by_dim[3])
+
+
+def _non_pure_complex(seed, k):
+    """A seeded complex with facets larger than, equal to and smaller than
+    k + 2 labels (a disjoint RP^2 on every third seed, for torsion)."""
+    rng = random.Random(seed)
+    n = rng.randint(k + 4, k + 6)
+    sizes = [rng.randint(k + 3, k + 4), k + 2, k + 2, rng.randint(1, k + 1), rng.randint(1, k + 1)]
+    sizes += [rng.randint(1, k + 4) for _ in range(rng.randint(0, 4))]
+    facets = {frozenset(rng.sample(range(n), size)) for size in sizes}
+    if seed % 3 == 0:
+        facets |= set(_relabel(RP2, 100).facets)
+    return SimplicialComplex(facets)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_truncated_homology_matches_reference_on_non_pure_complexes(k):
+    sizes = set()
+    for seed in range(25):
+        K = _non_pure_complex(1000 * k + seed, k)
+        sizes |= {(len(f) > k + 2) - (len(f) < k + 2) for f in K.facets}
+        betti, torsion = _reference_homology(K)
+        top = min(k, K.dim)
+        profile = reduced_homology(K, up_to=k)
+        assert profile.betti == {i: betti[i] for i in range(top + 1)}, seed
+        assert profile.torsion == {i: torsion[i] for i in range(top + 1)}, seed
+        vanishes = all(betti[i] == 0 and not torsion[i] for i in range(top + 1))
+        assert homology_vanishes_through(K, k) == vanishes, seed
+    # facets above, at and below k + 2 labels all occur
+    assert sizes == {1, 0, -1}
+
+
+def test_coreduction_pairing_order_pins_the_residual(monkeypatch):
+    # chessboard(5, 5) in full: coreduction (vertex 0 with the empty face,
+    # then first in, first out) leaves 166, 288 and 66 cells in dimensions
+    # 2, 3 and 4 and none below; the Smith form's input and residual follow
+    seen, units = [], []
+    smith, eliminate = homology.smith_invariants, homology._eliminate_units
+
+    def spy_smith(cols):
+        seen.append((len(cols), sum(map(len, cols.values()))))
+        return smith(cols)
+
+    def spy_eliminate(cols):
+        unit_rank, residual = eliminate(cols)
+        units.append((unit_rank, len(residual) * (len(residual[0]) if residual else 0)))
+        return unit_rank, residual
+
+    monkeypatch.setattr(homology, "smith_invariants", spy_smith)
+    monkeypatch.setattr(homology, "_eliminate_units", spy_eliminate)
+    reduced_homology(chessboard(5, 5))
+    # (live cells, live entries) per dimension; (unit rank, residual entries)
+    assert sorted(seen) == [(0, 0), (0, 0), (66, 288), (166, 0), (288, 664)]
+    assert sorted(units) == [(0, 0), (0, 0), (0, 0), (66, 0), (165, 43)]
+
+
+def test_face_budget_is_exact_and_checked_before_coreduction(monkeypatch):
+    # chessboard(5, 5) through dimension 1 builds 25 + 200 + 600 = 825 faces
+    calls = []
+    coreduce = homology._coreduce
+    monkeypatch.setattr(homology, "_coreduce", lambda m: calls.append(1) or coreduce(m))
+    K = chessboard(5, 5)
+    monkeypatch.setattr(homology, "FACE_BUDGET", 825)
+    assert homology_vanishes_through(K, 1)
+    assert calls == [1]
+    monkeypatch.setattr(homology, "FACE_BUDGET", 824)
+    with pytest.raises(BudgetExceeded):
+        homology_vanishes_through(K, 1)
+    assert calls == [1]
