@@ -247,7 +247,7 @@ def build_parser():
         "--budget",
         type=int,
         default=100_000,
-        help="placements of the graph tried, across draws; a refused draw counts as one",
+        help="placements of the graph tried, across draws",
     )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=cmd_search)

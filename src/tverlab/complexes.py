@@ -398,10 +398,6 @@ def good_subcomplex(spec, d, q) -> tuple:
 # ---------------------------------------------------------------------------
 # Intersection identities of the D/E decompositions
 
-def _face_set(K):
-    return set(K.faces())
-
-
 def _record(report, name, lhs, rhs):
     if lhs == rhs:
         report["identities"].append({"name": name, "ok": True})
@@ -431,10 +427,10 @@ def verify_intersection_identities(l, q):
     report = {"l": l, "q": q, "ok": True, "identities": []}
     cols = range(1, q + 1)
 
-    d_l = {k: _face_set(K) for k, K in d_subcomplexes(l, q).items()}
-    d_l1 = {k: _face_set(K) for k, K in d_subcomplexes(l - 1, q).items()}
+    d_l = {k: K.faces() for k, K in d_subcomplexes(l, q).items()}
+    d_l1 = {k: K.faces() for k, K in d_subcomplexes(l - 1, q).items()}
     sub2 = d_subcomplexes(l - 2, q)
-    d_l2 = {k: _face_set(K) for k, K in sub2.items()}
+    d_l2 = {k: K.faces() for k, K in sub2.items()}
     for t in range(2, q - 1):
         for T in combinations(cols, t):
             lhs = set.intersection(*(d_l[j] for j in T))
@@ -447,11 +443,11 @@ def verify_intersection_identities(l, q):
     _record(report, "D eq5", lhs, set().union(*d_l2.values()))
 
     if l >= 4 and q >= 5:
-        e_l = {i: _face_set(K) for i, K in e_subcomplexes(l, q).items()}
+        e_l = {i: K.faces() for i, K in e_subcomplexes(l, q).items()}
         lhs = set.intersection(*(e_l[i] for i in cols))
         rows = list(range(1, l - 2))
         middle = coloring_complex(rows, q, Path(l - 4).edges_on(rows))
-        _record(report, "E eq6", lhs, _face_set(middle))
+        _record(report, "E eq6", lhs, middle.faces())
         # Dt^{i,S} is D^i with the first row's (row 0's) columns S deleted.
         sub3 = d_subcomplexes(l - 3, q)
         for k in cols:
@@ -459,13 +455,13 @@ def verify_intersection_identities(l, q):
             S = set(cols) - {k}
             a = _delete_row_columns(sub2[k], 0, S)
             b = _delete_row_columns(sub3[k], 0, S)
-            _record(report, f"E eq7 k={k}", lhs, _face_set(a) | _face_set(b))
+            _record(report, f"E eq7 k={k}", lhs, a.faces() | b.faces())
         for t in range(2, q - 1):
             for T in combinations(cols, t):
                 lhs = set.intersection(*(e_l[i] for i in T))
                 rhs = set()
                 for i in cols:
                     if i not in T:
-                        rhs |= _face_set(_delete_row_columns(sub2[i], 0, T))
+                        rhs |= _delete_row_columns(sub2[i], 0, T).faces()
                 _record(report, f"E eq8 T={T}", lhs, rhs)
     return report

@@ -196,6 +196,18 @@ def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
             return config
 
 
+def sample_classified_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
+    """The next sampled configuration whose full classification succeeds
+    (effective general position and no boundary verdicts), with its
+    records."""
+    while True:
+        config = sample_configuration(d, q, rng, coord_bound)
+        try:
+            return config, tverberg_records(config)
+        except Degenerate:
+            continue
+
+
 def avoiding_candidates(graph: ConstraintGraph, d, q):
     """The candidate partitions for (d, q) that avoid the graph."""
     return [p for p in enumerate_candidate_partitions(d, q) if avoids(p, graph)]
@@ -233,10 +245,10 @@ def witness_search(d, q, graph, seed, budget):
     first (vertices in increasing order, each on the smallest free label
     first), and a placement whose edges' masks cover every record is a
     witness: its draw is returned relabelled so that the placement becomes
-    the graph itself.  `budget` bounds the placements tried across draws, a
-    refused (Degenerate) draw counting as one, so a graph with many vertices
-    stops within it on its first draw.  `drivers.witness_report` checks a
-    witness once with the exact LP oracle.
+    the graph itself.  A refused (Degenerate) draw is drawn again, as in a
+    count.  `budget` bounds the placements tried across draws, so a graph
+    with many vertices stops within it on its first draw.
+    `drivers.witness_report` checks a witness once with the exact LP oracle.
     """
     n = point_count(d, q)
     vertices = sorted({v for edge in graph.edges for v in edge})
@@ -244,12 +256,7 @@ def witness_search(d, q, graph, seed, budget):
     edges = [(index[a], index[b]) for a, b in sorted(graph.edges)]
     rng = SplitMix64(seed)
     while budget > 0:
-        config = sample_configuration(d, q, rng, WITNESS_COORD_BOUND)
-        try:
-            records = tverberg_records(config)
-        except Degenerate:
-            budget -= 1
-            continue
+        config, records = sample_classified_configuration(d, q, rng, WITNESS_COORD_BOUND)
         masks = hit_masks(records, n)
         every = (1 << len(records)) - 1
         for placement in islice(permutations(range(n), len(vertices)), budget):

@@ -58,8 +58,9 @@ only if its blocks pairwise meet.  `is_tverberg` looks its candidate up in
 
 A Birch partition of k(d+1) points around p (Birch 1959) is the same thing
 as a type I partition of the points plus p whose singleton is p, so
-`birch_records` takes a configuration with q = k+1 and p as its last point
-and runs the same exact cover over the simplices that contain p.
+`birch_records` takes a configuration with q = k+1 and p as its last point,
+runs the same Radon pass (`_radon_pass`) and takes the exact covers of the
+other labels by the simplices that contain p.
 """
 
 import math
@@ -126,10 +127,7 @@ def _inside(table, simplex, positions, weights, labels, message):
 
 def _cramer(rows, m):
     """The w with sum_c row[c] * w_c = 0 for each of the m-1 rows: w_c is
-    (-1)^c times the minor without column c, in closed form for m = 3."""
-    if m == 3:
-        (a, b, c), (e, f, g) = rows
-        return [b * g - c * f, c * e - a * g, a * f - b * e]
+    (-1)^c times the minor without column c."""
     return [(-1) ** c * det([row[:c] + row[c + 1 :] for row in rows]) for c in range(m)]
 
 
@@ -283,19 +281,15 @@ def _meeting_families(pairs, n, d):
                 stack.append((chosen + (c,), common & later.get(c, set()), short - gap))
 
 
-def tverberg_records(config: PointConfiguration):
-    """All Tverberg records of the configuration, in candidate order; their
-    count is T(X).  Points first, then the full blocks as exact covers (see
-    the module docstring)."""
-    if not effective_general_position(config):
-        raise Degenerate("configuration not in effective general position")
-    d, n = config.d, config.n
+def _radon_pass(config):
+    """The Radon partition of every (d+2)-subset of the labels, from its
+    affine dependency: (inside, points), with inside[v] the simplices that
+    contain label v (type I) and points the type II(2) points as (low
+    blocks, weights, total) on the first block."""
     table = config.determinants
-    labels = range(n)
-    inside = {v: [] for v in labels}  # type I: the simplices containing v
-    points = []  # type II: (low blocks, weights, total) on the first block
-    pairs = []  # the Radon pairs behind the type II(2) points
-    for u in combinations(labels, d + 2):
+    inside = {v: [] for v in range(config.n)}
+    points = []
+    for u in combinations(range(config.n), config.d + 2):
         lam = _dependency(table, u)
         positive = tuple(a for a, x in zip(u, lam) if x > 0)
         negative = tuple(a for a, x in zip(u, lam) if x < 0)
@@ -306,7 +300,20 @@ def tverberg_records(config: PointConfiguration):
             low = tuple(sorted((positive, negative)))
             weights = [abs(x) for a, x in zip(u, lam) if a in low[0]]
             points.append((low, weights, sum(weights)))
-            pairs.append(low)
+    return inside, points
+
+
+def tverberg_records(config: PointConfiguration):
+    """All Tverberg records of the configuration, in candidate order; their
+    count is T(X).  Points first, then the full blocks as exact covers (see
+    the module docstring)."""
+    if not effective_general_position(config):
+        raise Degenerate("configuration not in effective general position")
+    d, n = config.d, config.n
+    table = config.determinants
+    labels = range(n)
+    inside, points = _radon_pass(config)
+    pairs = [low for low, _, _ in points]  # the Radon pairs behind the type II(2) points
     for low in _meeting_families(pairs, n, d):
         found = _low_point(low, table, d)
         if found is not None:
@@ -423,11 +430,6 @@ def birch_records(config: PointConfiguration):
     labels are dependent."""
     if not effective_general_position(config):
         raise Degenerate("Birch instance not in general position relative to p")
-    d, p = config.d, config.n - 1
-    table = config.determinants
-    simplices = []
-    for s in combinations(range(p), d + 1):  # p alone on its side of s + (p,)
-        *lam, own = _dependency(table, s + (p,))
-        if all((x > 0) != (own > 0) for x in lam):
-            simplices.append(s)
-    return sorted(_exact_covers(range(p), simplices), key=_growth_string)
+    p = config.n - 1
+    inside, _ = _radon_pass(config)
+    return sorted(_exact_covers(range(p), inside[p]), key=_growth_string)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tverlab import constraints
 from tverlab.constraints import (
     WITNESS_COORD_BOUND,
     CompleteK,
@@ -196,6 +197,24 @@ def test_hit_masks_are_the_records_each_edge_hits():
 
 def test_witness_search_budget_zero():
     assert witness_search(2, 3, instantiate(Star(2), 7), seed=1, budget=0) is None
+
+
+def test_witness_search_draws_again_after_a_refused_draw(monkeypatch):
+    # Every placement of K_4 at q = 3 is a witness, so one placement of
+    # budget is enough once a draw classifies; a refused draw spends none.
+    real = constraints.tverberg_records
+    calls = []
+
+    def refuse_first(config):
+        calls.append(config)
+        if len(calls) == 1:
+            raise Degenerate("refused on purpose")
+        return real(config)
+
+    monkeypatch.setattr(constraints, "tverberg_records", refuse_first)
+    witness = witness_search(2, 3, instantiate(CompleteK(4), 7), seed=1, budget=1)
+    assert witness is not None
+    assert len(calls) == 2
 
 
 def test_witness_search_single_edge_absent():

@@ -20,13 +20,16 @@ On the two boundary constructions of `test_ground_truth`, every verdict
 the reference does give must match the LP, and each refusal (`Degenerate`)
 must be a candidate whose hulls the LP finds touching; `is_tverberg`, a
 lookup in `tverberg_records`, refuses every candidate of both.  On seeded
-draws it gives each candidate's record or None.
+draws it gives each candidate's record or None.  In these two tests
+`tverberg_records` replays its first result per configuration, so each
+candidate costs only its lookup.
 
 `birch_records` lists the exact covers of the first n-1 labels by the
 simplices that contain p, the configuration's last point; it must list
 exactly the partitions in which `hull_membership`, on explicit points, puts
 p inside every block, and refuse exactly the draws the explicit
-general-position test fails.
+general-position test fails.  On seeded Birch draws it must list exactly
+the type I records of `tverberg_records` whose singleton is p.
 
 More seeds and draws, and (d, q) = (2, 4), (2, 5) and (4, 3), carry the
 `slow` marker.
@@ -37,7 +40,9 @@ from fractions import Fraction
 import pytest
 
 from test_ground_truth import _crossing_segments_on_triangle_edge, _three_planes_on_an_edge
+from tverlab import tverberg
 from tverlab.constraints import sample_configuration
+from tverlab.drivers import _sample_birch
 from tverlab.errors import Degenerate
 from tverlab.geometry import (
     INSIDE,
@@ -197,10 +202,32 @@ def test_paths_agree_on_boundary_prone_draws(d, q, draws):
         assert refused and type_two
 
 
+@pytest.fixture
+def replayed_records(monkeypatch):
+    """`is_tverberg` lists every record of its configuration on each call;
+    on every candidate of one draw, replay the first call's records, or the
+    Degenerate it raised, instead of listing them again."""
+    real = tverberg.tverberg_records
+    memo = {}
+
+    def replay(config):
+        key = (config.d, config.q, config.points)
+        if key not in memo:
+            try:
+                memo[key] = real(config)
+            except Degenerate as exc:
+                memo[key] = exc
+        if isinstance(memo[key], Degenerate):
+            raise memo[key].with_traceback(None)
+        return memo[key]
+
+    monkeypatch.setattr(tverberg, "tverberg_records", replay)
+
+
 @pytest.mark.parametrize(
     "build", [_crossing_segments_on_triangle_edge, _three_planes_on_an_edge], ids=["d2q3", "d3q3"]
 )
-def test_boundary_verdicts_match_lp_oracle(build):
+def test_boundary_verdicts_match_lp_oracle(build, replayed_records):
     config, _ = build()
     refused = candidates = 0
     for partition in enumerate_candidate_partitions(config.d, config.q):
@@ -220,7 +247,7 @@ def test_boundary_verdicts_match_lp_oracle(build):
 
 
 @pytest.mark.parametrize("d,q", [(1, 3), (2, 3), (3, 3)])
-def test_is_tverberg_looks_up_the_records(d, q):
+def test_is_tverberg_looks_up_the_records(d, q, replayed_records):
     """Every candidate of a seeded draw gets its record or None."""
     config, records = _classified(d, q, 31, False)
     by_partition = {r.partition: r for r in records}
@@ -264,3 +291,18 @@ def test_birch_records_match_hull_membership(d, k):
         assert got == expected
         counted += bool(got)
     assert refused and counted
+
+
+@pytest.mark.parametrize("d,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_birch_records_are_the_type_one_records_at_p(d, k):
+    """A Birch partition around p is a type I partition whose singleton is
+    p, the last label, so it is read off the Tverberg records."""
+    rng = SplitMix64(17 + 10 * d + k)
+    counted = 0
+    for _ in range(40):
+        config = _sample_birch(d, k, rng)
+        p = (config.n - 1,)
+        type_one = [r.partition[:-1] for r in tverberg_records(config) if r.partition[-1] == p]
+        assert birch_records(config) == type_one
+        counted += bool(type_one)
+    assert counted

@@ -99,7 +99,8 @@ def test_is_tverberg_rejects_non_candidates(partition, config):
 
 
 def test_cramer_closed_form_at_three_columns():
-    # The weights of a type II(3) family's point whose first block has 3 labels.
+    # The weights of a type II(3) family's point whose first block has 3
+    # labels: det's 2x2 closed form gives the minors.
     rng = SplitMix64(13)
     for _ in range(200):
         rows = [[rng.randint(-99, 99) for _ in range(3)] for _ in range(2)]
