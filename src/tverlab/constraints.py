@@ -181,17 +181,19 @@ def constrained_records(records, graph: ConstraintGraph):
     return [r for r in records if avoids(r.partition, graph)]
 
 
-def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND):
-    """Draw integer-coordinate points until effective general position holds.
+def sample_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_COORD_BOUND, tail=()):
+    """Draw integer-coordinate points, followed by the fixed points `tail`,
+    until effective general position holds.  Only the drawn points change
+    between draws; a Birch instance passes its query point as the tail.
 
     The check fills the configuration's determinant table, which its
     classification then reads without recomputing it."""
-    n = point_count(d, q)
+    drawn = point_count(d, q) - len(tail)
     while True:
         pts = tuple(
-            tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d)) for _ in range(n)
+            tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d)) for _ in range(drawn)
         )
-        config = PointConfiguration(d, q, pts)
+        config = PointConfiguration(d, q, pts + tail)
         if effective_general_position(config):
             return config
 

@@ -9,7 +9,6 @@ import math
 from itertools import combinations
 
 from .constraints import (
-    SAMPLE_COORD_BOUND,
     CompleteK,
     Cycle,
     DisjointUnion,
@@ -20,6 +19,7 @@ from .constraints import (
     hit_masks,
     instantiate,
     sample_classified_configuration,
+    sample_configuration,
     witness_search,
 )
 from .complexes import (
@@ -41,7 +41,7 @@ from .complexes import (
 )
 from .config_io import format_scalar
 from .errors import InvalidParameters
-from .geometry import PointConfiguration, effective_general_position
+from .geometry import PointConfiguration
 from .homology import homology_vanishes_through
 from .partitions import point_count
 from .rng import SplitMix64
@@ -92,7 +92,10 @@ def counting_campaign(d, q, samples, seed):
 
 def single_edge_constraint_campaign(samples, seed, d=2, q=3):
     """Every single-edge constraint graph leaves at least one avoiding
-    Tverberg partition, on each seeded configuration."""
+    Tverberg partition, on each seeded configuration.  The claim is K_2's
+    admissibility, so (d, q) outside the family list (q not a prime power
+    > 2) is refused before any draw."""
+    family_admissible(CompleteK(2), d, q)
     rng = SplitMix64(seed)
     n = point_count(d, q)
     edges = list(combinations(range(n), 2))
@@ -140,12 +143,13 @@ def witness_report(d, q, graph, seed, budget):
 
 def birch_campaign(samples, seed):
     """B_0(X) is even and at least k! whenever positive, on seeded
-    instances at each (d, k)."""
+    instances at each (d, k): k(d+1) drawn points and p, the origin, last."""
     rng = SplitMix64(seed)
     results = []
     for d, k in BIRCH_PAIRS:
         for index in range(samples):
-            count = len(birch_records(_sample_birch(d, k, rng)))
+            config = sample_configuration(d, k + 1, rng, tail=((0,) * d,))
+            count = len(birch_records(config))
             entry = {
                 "d": d,
                 "k": k,
@@ -157,20 +161,6 @@ def birch_campaign(samples, seed):
             results.append(entry)
     ok = all(r["even"] and r["lower_ok"] for r in results)
     return {"ok": ok, "samples": samples, "seed": seed, "results": results}
-
-
-def _sample_birch(d, k, rng):
-    """k(d+1) seeded points plus the origin, last, as p; drawn again until
-    the configuration is in effective general position."""
-    origin = tuple([0] * d)
-    while True:
-        pts = tuple(
-            tuple(rng.randint(-SAMPLE_COORD_BOUND, SAMPLE_COORD_BOUND) for _ in range(d))
-            for _ in range(k * (d + 1))
-        )
-        config = PointConfiguration(d, k + 1, pts + (origin,))
-        if effective_general_position(config):
-            return config
 
 
 def chessboard_connectivity_campaign(max_mn):

@@ -16,28 +16,16 @@ PALETTE = ["#4878cf", "#d65f5f", "#6acc65", "#b47cc7", "#c4ad66", "#77bedb"]
 
 
 def _hull_order(points):
-    """Vertices of conv(points) in counterclockwise order (gift wrapping)."""
-    pts = list(dict.fromkeys(points))
-    if len(pts) <= 2:
-        return pts
-    start = min(pts)
-    hull = [start]
-    current = start
-    while True:
-        candidate = next(p for p in pts if p != current)
-        for p in pts:
-            if p == current or p == candidate:
-                continue
-            s = orientation([current, candidate, p], 2)
-            if s < 0:
-                candidate = p
-        if candidate == start:
-            break
-        hull.append(candidate)
-        current = candidate
-        if len(hull) > len(pts):
-            break
-    return hull
+    """Vertices of conv(points), counterclockwise from the least one.
+
+    A Tverberg block in the plane has at most three points, in general
+    position since `render` classifies the configuration first: one or
+    two points come back as given, and a triangle's order is one
+    orientation sign."""
+    if len(points) < 3:
+        return list(points)
+    a, b, c = sorted(points)
+    return [a, b, c] if orientation([a, b, c], 2) > 0 else [a, c, b]
 
 
 def render_svg(config: PointConfiguration, records=(), graph=None) -> str:

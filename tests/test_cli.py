@@ -11,6 +11,7 @@ import pytest
 from tverlab import cli, constraints
 from tverlab.config_io import format_scalar, parse_configuration
 from tverlab.errors import DimensionMismatch, ParseError
+from tverlab.svg import _hull_order
 from tverlab.tverberg import tverberg_records
 
 GOOD = """\
@@ -157,6 +158,11 @@ def test_usage_error_exit_2():
             id="budget0",
         ),
         pytest.param(("verify-all", "--budget", "0"), {}, id="verify-all-budget0"),
+        # The single-edge claim is K_2's admissibility, which the family list
+        # states only for prime-power q > 2: at q = 2 the Radon partition is
+        # unique, so some edge lies in one of its blocks; 6 is no prime power.
+        pytest.param(("constrain", "--d", "2", "--q", "2", "--samples", "3"), {}, id="constrain-q2"),
+        pytest.param(("constrain", "--d", "1", "--q", "6"), {}, id="constrain-q6"),
         # No configuration is a witness for a graph with no edges; refused
         # before any draw, not after the default budget of 100000 placements.
         pytest.param(("search", "--q", "3", "--d", "2", "--graph", "k1"), {}, id="search-k1"),
@@ -372,6 +378,14 @@ def test_render_svg(tmp_path):
     assert svg.startswith("<svg")
     assert svg.count("stroke-dasharray") == 1
     assert "<text" in svg
+
+
+def test_hull_order_turns_a_clockwise_triangle_counterclockwise():
+    clockwise = [(0, 0), (0, 4), (4, 0)]
+    for shift in range(3):
+        given = clockwise[shift:] + clockwise[:shift]
+        assert _hull_order(given) == [(0, 0), (4, 0), (0, 4)]
+    assert _hull_order([(4, 0), (0, 4)]) == [(4, 0), (0, 4)]
 
 
 def test_render_without_graph_has_no_dashes(tmp_path):

@@ -42,7 +42,6 @@ import pytest
 from test_ground_truth import _crossing_segments_on_triangle_edge, _three_planes_on_an_edge
 from tverlab import tverberg
 from tverlab.constraints import sample_configuration
-from tverlab.drivers import _sample_birch
 from tverlab.errors import Degenerate
 from tverlab.geometry import (
     INSIDE,
@@ -300,7 +299,7 @@ def test_birch_records_are_the_type_one_records_at_p(d, k):
     rng = SplitMix64(17 + 10 * d + k)
     counted = 0
     for _ in range(40):
-        config = _sample_birch(d, k, rng)
+        config = sample_configuration(d, k + 1, rng, tail=((0,) * d,))
         p = (config.n - 1,)
         type_one = [r.partition[:-1] for r in tverberg_records(config) if r.partition[-1] == p]
         assert birch_records(config) == type_one

@@ -1,16 +1,20 @@
 """The byte gate: pinned CLI reports keep their exact bytes.
 
 Each case runs `cli.main` in-process and compares the sha256 of its stdout
-with the digest of the reference report.  A change that alters any of these
-reports on purpose records the old and new digests in CHANGES.md.
+with the digest of the reference report.  Two outputs that no report
+prints in full are pinned the same way: the Birch campaign's rows, of
+which `verify-all` reports only `ok`, and the SVG that `render` writes.  A
+change that alters any of these outputs on purpose records the old and
+new digests in CHANGES.md.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from tverlab import cli
+from tverlab import cli, drivers
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,6 +61,8 @@ PINNED = {
     ),
 }
 README_CLASSIFY = "73d29e3c79635de1970e3bc5ff1ef3473ac2fd26751ef9c28b4079aef22513d6"
+README_RENDER_SVG = "3e9141230c79c887df50106e6eea7751809abac93c6cbd010404db091182a8a2"
+BIRCH_CAMPAIGN_40 = "5d4c52166c6a789171941427596f77d2d77aef8e6737d2799d0b656942a8d20e"
 
 
 def _digest(argv, capsys):
@@ -70,10 +76,30 @@ def test_pinned_report_bytes(case, capsys):
     assert _digest(argv, capsys) == digest
 
 
-def test_readme_classify_report_bytes(tmp_path, capsys):
-    # The configuration block under "Configuration files are exact and
-    # human-writable:" in README.md, classified by `classify --input`.
+def _readme_config(tmp_path):
+    """The configuration block under "Configuration files are exact and
+    human-writable:" in README.md, saved as a file."""
     after = README.read_text().split("Configuration files are exact and human-writable:", 1)[1]
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(after.split("```", 2)[1])
+    return cfg
+
+
+def test_readme_classify_report_bytes(tmp_path, capsys):
+    cfg = _readme_config(tmp_path)
     assert _digest(["classify", "--input", str(cfg)], capsys) == README_CLASSIFY
+
+
+def test_readme_render_svg_bytes(tmp_path, capsys):
+    out = tmp_path / "readme.svg"
+    argv = ["render", "--input", str(_readme_config(tmp_path)), "--out", str(out)]
+    assert cli.main(argv + ["--records", "50", "--graph", "star2"]) == 0
+    assert json.loads(capsys.readouterr().out)["records_drawn"] == 4
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_RENDER_SVG
+
+
+def test_birch_campaign_counts():
+    rows = drivers.birch_campaign(samples=2, seed=11)["results"]
+    assert [row["B"] for row in rows] == [0, 2, 6, 6, 2, 2]
+    report = json.dumps(drivers.birch_campaign(samples=40, seed=11))
+    assert hashlib.sha256(report.encode()).hexdigest() == BIRCH_CAMPAIGN_40
