@@ -8,6 +8,7 @@ wall-clock time is only included behind --timing.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -210,6 +211,7 @@ def cmd_render(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="tverlab")
     parser.add_argument("--timing", action="store_true", help="include wall-clock seconds")
@@ -289,9 +291,9 @@ FLAG_MINIMUMS = {
 
 
 def _parse(argv):
-    """The checked flags.  The parser, a web of reference cycles, is garbage
-    once this returns: kept alive while a command runs, it would reach the
-    oldest GC generation and stay in memory until a full collection."""
+    """The checked flags.  One parser serves every call in a process: it is
+    built on the first call, and each parse fills a fresh namespace from its
+    defaults, so no flag carries over from one call to the next."""
     parser = build_parser()
     args = parser.parse_args(argv)
     for key, low in FLAG_MINIMUMS.items():

@@ -211,8 +211,12 @@ def sample_classified_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_CO
 
 
 def avoiding_candidates(graph: ConstraintGraph, d, q):
-    """The candidate partitions for (d, q) that avoid the graph."""
-    return [p for p in enumerate_candidate_partitions(d, q) if avoids(p, graph)]
+    """The candidate partitions for (d, q) that avoid the graph, in
+    enumeration order, listed without generating the others."""
+    n = point_count(d, q)
+    if any(not 0 <= v < n for edge in graph.edges for v in edge):
+        raise LabelMismatch("graph edge endpoints outside the partition labels")
+    return list(enumerate_candidate_partitions(d, q, graph.edges))
 
 
 def hit_masks(records, n):

@@ -43,7 +43,7 @@ from .config_io import format_scalar
 from .errors import InvalidParameters
 from .geometry import PointConfiguration
 from .homology import homology_vanishes_through
-from .partitions import point_count
+from .partitions import enumerate_candidate_partitions, point_count
 from .rng import SplitMix64
 from .tverberg import (
     birch_records,
@@ -119,22 +119,21 @@ def witness_report(d, q, graph, seed, budget):
 
     `verified` is the oracle's verdict that no avoiding candidate's hulls
     meet, and `ok` follows it; a search that finds nothing is ok.  The
-    avoiding candidates are listed only for a found witness.  A graph no
-    candidate avoids is then refused: every placement on every draw is a
-    witness, which no LP would check.  A graph with no edges is refused
-    before any draw: every configuration has a Tverberg partition, and each
-    one avoids it."""
+    avoiding candidates are listed only for a found witness.  Two graphs
+    are refused before any draw: one with no edges (every configuration
+    has a Tverberg partition, and each one avoids it), and one that no
+    candidate avoids (every placement on every draw would be a witness,
+    which no LP would check)."""
     if not graph.edges:
         raise InvalidParameters("a graph with no edges has no witness")
+    if next(enumerate_candidate_partitions(d, q, graph.edges), None) is None:
+        raise InvalidParameters(
+            f"no candidate at (d, q) = ({d}, {q}) avoids {sorted(graph.edges)}"
+        )
     witness = witness_search(d, q, graph, seed, budget)
     report = {"found": witness is not None}
     if witness is not None:
-        candidates = avoiding_candidates(graph, d, q)
-        if not candidates:
-            raise InvalidParameters(
-                f"no candidate at (d, q) = ({d}, {q}) avoids {sorted(graph.edges)}"
-            )
-        hits = tverberg_records_oracle(witness, candidates)
+        hits = tverberg_records_oracle(witness, avoiding_candidates(graph, d, q))
         report["witness"] = [[format_scalar(c) for c in p] for p in witness.points]
         report["verified"] = not hits
     report["ok"] = report.get("verified", True)

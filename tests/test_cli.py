@@ -114,6 +114,19 @@ def test_timing_flag_adds_wall_clock():
     assert "wall_clock" in with_flag
 
 
+def _report(argv, capsys):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_no_flag_carries_over_between_calls(capsys):
+    count = ["count", "--d", "1", "--q", "3"]
+    assert _report(count + ["--samples", "3"], capsys)["samples"] == 3
+    assert _report(count, capsys)["samples"] == 50
+    assert "wall_clock" in _report(["--timing", *count, "--samples", "1"], capsys)
+    assert "wall_clock" not in _report(count + ["--samples", "1"], capsys)
+
+
 def test_usage_error_exit_2():
     assert run_cli("bogus").returncode == 2
     assert run_cli("count").returncode == 2  # missing required --d/--q

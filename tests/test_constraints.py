@@ -22,8 +22,9 @@ from tverlab.constraints import (
     sample_configuration,
     witness_search,
 )
-from tverlab.errors import Degenerate, NotPrimePower
-from tverlab.partitions import point_count
+from tverlab.drivers import _admissible_specs
+from tverlab.errors import Degenerate, LabelMismatch, NotPrimePower
+from tverlab.partitions import enumerate_candidate_partitions, point_count
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import tverberg_records, tverberg_records_oracle
 
@@ -262,3 +263,21 @@ def test_admissible_union_has_no_witness():
     spec = DisjointUnion((CompleteK(2), CompleteK(2)))
     assert family_admissible(spec, 2, 3)
     assert witness_search(2, 3, instantiate(spec, 7), seed=1, budget=5 * 7 * 6 * 5 * 4) is None
+
+
+@pytest.mark.parametrize("d, q", [(1, 3), (2, 3), (1, 4), (2, 4), (3, 3)])
+def test_avoiding_candidates_are_the_filtered_enumeration(d, q):
+    n = point_count(d, q)
+    everyone = list(enumerate_candidate_partitions(d, q))
+    specs = _admissible_specs(d, q) + [CompleteK(3), CompleteK(4), Star(2), Path(2)]
+    for spec in specs:
+        graph = instantiate(spec, n)
+        assert avoiding_candidates(graph, d, q) == [p for p in everyone if avoids(p, graph)], spec
+
+
+def test_avoiding_candidates_refuse_an_edge_outside_the_labels():
+    graph = ConstraintGraph(9, frozenset([(0, 8)]))
+    with pytest.raises(LabelMismatch):
+        avoids(((0, 1, 2), (3, 4), (5, 6)), graph)
+    with pytest.raises(LabelMismatch):
+        avoiding_candidates(graph, 2, 3)

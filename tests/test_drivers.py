@@ -129,3 +129,14 @@ def test_witness_report_refuses_a_graph_no_candidate_avoids():
     assert avoiding_candidates(graph, 2, 3) == []
     with pytest.raises(InvalidParameters, match=r"\(d, q\) = \(2, 3\)"):
         drivers.witness_report(2, 3, graph, 1, 100)
+
+
+def test_witness_report_refuses_a_graph_no_candidate_avoids_before_any_draw(monkeypatch):
+    # K_5 at (3, 4): five mutually forbidden labels fit no four blocks.
+    def no_draw(*args):
+        raise AssertionError("witness_search called")
+
+    monkeypatch.setattr(drivers, "witness_search", no_draw)
+    graph = instantiate(CompleteK(5), 10)
+    with pytest.raises(InvalidParameters, match=r"\(d, q\) = \(3, 4\)"):
+        drivers.witness_report(3, 4, graph, 1, 100_000)

@@ -76,6 +76,20 @@ def test_pinned_report_bytes(case, capsys):
     assert _digest(argv, capsys) == digest
 
 
+def test_pinned_reports_keep_their_bytes_in_one_process(capsys):
+    # One parser serves every call in a process: the pins, run in reverse
+    # order with a usage error after each, keep their digests.
+    for case in reversed(PINNED):
+        argv, digest = PINNED[case]
+        assert _digest(argv, capsys) == digest, case
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--d", "2", "--q", "3", "--samples", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples must be >= 1, got 0" in captured.err
+
+
 def _readme_config(tmp_path):
     """The configuration block under "Configuration files are exact and
     human-writable:" in README.md, saved as a file."""
