@@ -14,7 +14,7 @@ from itertools import combinations, islice, permutations
 
 from .errors import Degenerate, InvalidParameters, LabelMismatch, NotPrimePower
 from .geometry import PointConfiguration, effective_general_position
-from .partitions import enumerate_candidate_partitions, point_count
+from .partitions import point_count
 from .rng import SplitMix64
 from .tverberg import is_prime_power, tverberg_records
 
@@ -210,15 +210,6 @@ def sample_classified_configuration(d, q, rng: SplitMix64, coord_bound=SAMPLE_CO
             continue
 
 
-def avoiding_candidates(graph: ConstraintGraph, d, q):
-    """The candidate partitions for (d, q) that avoid the graph, in
-    enumeration order, listed without generating the others."""
-    n = point_count(d, q)
-    if any(not 0 <= v < n for edge in graph.edges for v in edge):
-        raise LabelMismatch("graph edge endpoints outside the partition labels")
-    return list(enumerate_candidate_partitions(d, q, graph.edges))
-
-
 def hit_masks(records, n):
     """masks[a][b] is the bitmask of the records (bit i for records[i]) whose
     partition has labels a and b in one block.  A graph placed on the labels
@@ -253,11 +244,15 @@ def witness_search(d, q, graph, seed, budget):
     witness: its draw is returned relabelled so that the placement becomes
     the graph itself.  A refused (Degenerate) draw is drawn again, as in a
     count.  `budget` bounds the placements tried across draws, so a graph
-    with many vertices stops within it on its first draw.
+    with many vertices stops within it on its first draw.  A graph with an
+    edge outside the labels 0..n-1, which no placement could cover, is
+    refused (LabelMismatch) before any draw.
     `drivers.witness_report` checks a witness once with the exact LP oracle.
     """
     n = point_count(d, q)
     vertices = sorted({v for edge in graph.edges for v in edge})
+    if vertices and vertices[-1] >= n:
+        raise LabelMismatch(f"graph edges {sorted(graph.edges)} leave the labels 0..{n - 1}")
     index = {v: i for i, v in enumerate(vertices)}
     edges = [(index[a], index[b]) for a, b in sorted(graph.edges)]
     rng = SplitMix64(seed)

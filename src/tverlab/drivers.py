@@ -14,7 +14,6 @@ from .constraints import (
     DisjointUnion,
     Path,
     Star,
-    avoiding_candidates,
     family_admissible,
     hit_masks,
     instantiate,
@@ -118,12 +117,12 @@ def witness_report(d, q, graph, seed, budget):
     check a found witness once with the exact LP oracle.
 
     `verified` is the oracle's verdict that no avoiding candidate's hulls
-    meet, and `ok` follows it; a search that finds nothing is ok.  The
-    avoiding candidates are listed only for a found witness.  Two graphs
-    are refused before any draw: one with no edges (every configuration
-    has a Tverberg partition, and each one avoids it), and one that no
-    candidate avoids (every placement on every draw would be a witness,
-    which no LP would check)."""
+    meet, and `ok` follows it; a search that finds nothing is ok.  Three
+    graphs are refused before any draw: one with no edges (every
+    configuration has a Tverberg partition, and each one avoids it), one
+    that no candidate avoids (every placement on every draw would be a
+    witness, which no LP would check), and, by `witness_search`, one with
+    an edge outside the labels of (d, q) (LabelMismatch)."""
     if not graph.edges:
         raise InvalidParameters("a graph with no edges has no witness")
     if next(enumerate_candidate_partitions(d, q, graph.edges), None) is None:
@@ -133,7 +132,7 @@ def witness_report(d, q, graph, seed, budget):
     witness = witness_search(d, q, graph, seed, budget)
     report = {"found": witness is not None}
     if witness is not None:
-        hits = tverberg_records_oracle(witness, avoiding_candidates(graph, d, q))
+        hits = tverberg_records_oracle(witness, graph.edges)
         report["witness"] = [[format_scalar(c) for c in p] for p in witness.points]
         report["verified"] = not hits
     report["ok"] = report.get("verified", True)

@@ -71,7 +71,7 @@ from itertools import combinations
 
 from .errors import Degenerate, InvalidParameters
 from .geometry import PointConfiguration, _reduce, common_point, det, effective_general_position
-from .partitions import canonical, enumerate_candidate_partitions
+from .partitions import canonical
 
 LOW_BOUNDARY = "intersection point on a low-block boundary"
 FULL_BOUNDARY = "intersection point on a block-hull boundary"
@@ -344,19 +344,55 @@ def tverberg_records(config: PointConfiguration):
     return records
 
 
-def tverberg_records_oracle(config: PointConfiguration, candidates=None):
-    """Independent brute force: the canonical partitions, among the given
-    candidates (by default every candidate partition of the configuration),
-    whose blocks' hulls meet, by one exact LP each and no type-classification
-    shortcut."""
-    if candidates is None:
-        candidates = enumerate_candidate_partitions(config.d, config.q)
+def tverberg_records_oracle(config: PointConfiguration, apart=()):
+    """Independent check by exact LPs alone: the candidate partitions whose
+    blocks' hulls meet, in candidate order, with no type-classification
+    shortcut; with `apart`, only the candidates that keep each of its label
+    pairs in different blocks.
+
+    A depth-first search builds each candidate block by block, in canonical
+    order: the next block holds the smallest free label, at most d+1 labels
+    and no `apart` pair, and leaves labels that the remaining blocks can
+    hold.  Hulls with a common point meet pairwise, so a new block is kept
+    only if a two-block `common_point` LP, cached per pair, finds that it
+    meets every block chosen before it.  A complete candidate is a hit iff
+    the full `common_point` LP on its q blocks is feasible."""
+    d, q, points = config.d, config.q, config.points
+    partners = {}
+    for a, b in apart:
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    meets = {}
+
+    def meet(a, b):
+        if (a, b) not in meets:
+            hulls = [[points[i] for i in a], [points[i] for i in b]]
+            meets[a, b] = common_point(hulls, d) is not None
+        return meets[a, b]
+
     hits = []
-    for partition in candidates:
-        blocks = [[config.points[i] for i in blk] for blk in partition]
-        if common_point(blocks, config.d) is not None:
-            hits.append(canonical(partition))
-    return hits
+    stack = [(tuple(range(config.n)), ())]  # (free labels, blocks so far)
+    while stack:
+        free, chosen = stack.pop()
+        left = q - len(chosen)
+        if not left:
+            if common_point([[points[i] for i in b] for b in chosen], d) is not None:
+                hits.append(chosen)
+            continue
+        first = free[0]
+        banned = partners.get(first, ())
+        allowed = [a for a in free[1:] if a not in banned]
+        # labels besides `first`; the other left - 1 blocks take 1 to d+1 each
+        least, most = len(free) - 1 - (left - 1) * (d + 1), min(d, len(free) - left)
+        for size in range(max(0, least), most + 1):
+            for more in combinations(allowed, size):
+                if any(b in partners.get(a, ()) for a, b in combinations(more, 2)):
+                    continue
+                block = (first,) + more
+                if all(meet(c, block) for c in chosen):
+                    rest = tuple(a for a in free[1:] if a not in more)
+                    stack.append((rest, chosen + (block,)))
+    return sorted(hits, key=_growth_string)
 
 
 SIERKSMA = "sierksma"

@@ -13,7 +13,6 @@ from tverlab.constraints import (
     DisjointUnion,
     Path,
     Star,
-    avoiding_candidates,
     avoids,
     constrained_records,
     family_admissible,
@@ -248,7 +247,7 @@ def test_relabelled_witnesses_are_lp_verified(graph, seed):
     witness = witness_search(2, 3, graph, seed, budget=5000)
     assert witness is not None
     assert constrained_records(tverberg_records(witness), graph) == []
-    assert tverberg_records_oracle(witness, avoiding_candidates(graph, 2, 3)) == []
+    assert tverberg_records_oracle(witness, graph.edges) == []
 
 
 def test_witness_is_a_relabelled_draw():
@@ -272,12 +271,11 @@ def test_avoiding_candidates_are_the_filtered_enumeration(d, q):
     specs = _admissible_specs(d, q) + [CompleteK(3), CompleteK(4), Star(2), Path(2)]
     for spec in specs:
         graph = instantiate(spec, n)
-        assert avoiding_candidates(graph, d, q) == [p for p in everyone if avoids(p, graph)], spec
+        avoiding = list(enumerate_candidate_partitions(d, q, graph.edges))
+        assert avoiding == [p for p in everyone if avoids(p, graph)], spec
 
 
-def test_avoiding_candidates_refuse_an_edge_outside_the_labels():
+def test_avoids_refuses_an_edge_outside_the_labels():
     graph = ConstraintGraph(9, frozenset([(0, 8)]))
     with pytest.raises(LabelMismatch):
         avoids(((0, 1, 2), (3, 4), (5, 6)), graph)
-    with pytest.raises(LabelMismatch):
-        avoiding_candidates(graph, 2, 3)

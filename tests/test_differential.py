@@ -10,11 +10,16 @@ coordinates) a draw that point-first refuses (`Degenerate`) must be refused
 candidate by candidate too, and one that only candidate-first refuses must
 give exactly the LP oracle's partitions.
 
-`tverberg_records_oracle` solves one exact LP per candidate and shares
-nothing with the table classifier but the candidate enumeration.  Their
-partition lists must be equal, on integer samples and on rational ones,
-whose denominators the table clears first, and every record's point must
-lie strictly inside each of its blocks.
+`tverberg_records_oracle` decides every candidate by exact LPs alone and
+shares nothing with the table classifier.  Their partition lists must be
+equal, on integer samples and on rational ones, whose denominators the
+table clears first, and every record's point must lie strictly inside each
+of its blocks.  The oracle prunes its candidates by two-block LPs; the
+one-LP-per-candidate loop, kept here only as its reference, must give the
+same partitions, with and without pairs kept apart, on search witnesses
+(none), on draws with avoiding records (exactly those), and on
+small-coordinate draws and the two boundary constructions, whose touching
+hulls meet.
 
 On the two boundary constructions of `test_ground_truth`, every verdict
 the reference does give must match the LP, and each refusal (`Degenerate`)
@@ -41,7 +46,13 @@ import pytest
 
 from test_ground_truth import _crossing_segments_on_triangle_edge, _three_planes_on_an_edge
 from tverlab import tverberg
-from tverlab.constraints import sample_configuration
+from tverlab.constraints import (
+    ConstraintGraph,
+    constrained_records,
+    sample_classified_configuration,
+    sample_configuration,
+    witness_search,
+)
 from tverlab.errors import Degenerate
 from tverlab.geometry import (
     INSIDE,
@@ -52,7 +63,12 @@ from tverlab.geometry import (
     hull_membership,
     points_in_general_position,
 )
-from tverlab.partitions import canonical, enumerate_candidate_partitions, partitions_with_max_block
+from tverlab.partitions import (
+    canonical,
+    enumerate_candidate_partitions,
+    partitions_with_max_block,
+    point_count,
+)
 from tverlab.rng import SplitMix64
 from tverlab.tverberg import (
     FULL_BOUNDARY,
@@ -99,6 +115,17 @@ def _candidate_first(config):
         raise Degenerate("configuration not in effective general position")
     records = (_classify(p, config) for p in enumerate_candidate_partitions(config.d, config.q))
     return [r for r in records if r is not None]
+
+
+def _one_lp_per_candidate(config, apart=()):
+    """The oracle's reference: one `common_point` LP on every candidate that
+    keeps the `apart` pairs apart, in enumeration order."""
+    hits = []
+    for partition in enumerate_candidate_partitions(config.d, config.q, apart):
+        blocks = [[config.points[i] for i in blk] for blk in partition]
+        if common_point(blocks, config.d) is not None:
+            hits.append(partition)
+    return hits
 
 
 def _classified(d, q, seed, rational):
@@ -199,6 +226,80 @@ def test_paths_agree_on_boundary_prone_draws(d, q, draws):
         type_two += any(r.k > 1 for r in expected)
     if d > 1:  # at d = 1 every record is Type I, whose point is never on a boundary
         assert refused and type_two
+
+
+def _oracle_case(d, q, name, edges, seeds, everyone, marks=()):
+    graph = ConstraintGraph(point_count(d, q), frozenset(edges))
+    ident = f"{d}-{q}-{name}-{seeds[0]}-{seeds[-1]}{'' if everyone else '-apart'}"
+    return pytest.param(d, q, graph, seeds, everyone, marks=marks, id=ident)
+
+
+STAR2, STAR3, K3 = ((0, 1), (0, 2)), ((0, 1), (0, 2), (0, 3)), ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "d,q,graph,seeds,everyone",
+    [
+        _oracle_case(2, 3, "star2", STAR2, range(1, 26), True),
+        # centred on label 5, so a block that starts at 3 or 4 must keep 5 and 6 apart
+        _oracle_case(2, 3, "star2-on-2-5-6", ((5, 2), (5, 6)), range(1, 11), True),
+        _oracle_case(2, 3, "k3", K3, range(1, 12), True),
+        _oracle_case(3, 3, "k3", K3, range(1, 4), False),
+        _oracle_case(2, 4, "star3", STAR3, range(1, 2), False),
+        _oracle_case(3, 3, "k3", K3, range(4, 14), True, pytest.mark.slow),
+        _oracle_case(2, 4, "star3", STAR3, range(2, 7), True, pytest.mark.slow),
+    ],
+)
+def test_oracle_matches_one_lp_per_candidate(d, q, graph, seeds, everyone):
+    """Per seed: the graph's witness, where no avoiding candidate's hulls
+    meet; the first classified draw with avoiding records, where the
+    oracle must say no by listing exactly those; and a draw of coordinates
+    in [-3, 3], not even in general position, where hulls touch.  With
+    `everyone`, the last two draws are also checked with nothing kept
+    apart."""
+    n = point_count(d, q)
+    refused = 0
+    for seed in seeds:
+        witness = witness_search(d, q, graph, seed, budget=200_000)
+        assert tverberg_records_oracle(witness, graph.edges) == []
+        assert _one_lp_per_candidate(witness, graph.edges) == []
+
+        rng = SplitMix64(seed)
+        while True:
+            config, records = sample_classified_configuration(d, q, rng)
+            avoiding = [r.partition for r in constrained_records(records, graph)]
+            if avoiding:
+                break
+        small = PointConfiguration(
+            d, q, tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n))
+        )
+        assert tverberg_records_oracle(config, graph.edges) == avoiding
+        assert _one_lp_per_candidate(config, graph.edges) == avoiding
+        expected = _one_lp_per_candidate(small, graph.edges)
+        assert tverberg_records_oracle(small, graph.edges) == expected, small.points
+        if everyone:
+            assert tverberg_records_oracle(config) == [r.partition for r in records]
+            assert tverberg_records_oracle(small) == _one_lp_per_candidate(small), small.points
+        try:
+            tverberg_records(small)
+        except Degenerate:
+            refused += 1
+    assert refused  # some small draws are ones no count decides
+
+
+@pytest.mark.parametrize(
+    "build", [_crossing_segments_on_triangle_edge, _three_planes_on_an_edge], ids=["d2q3", "d3q3"]
+)
+def test_oracle_counts_touching_hulls_as_meeting(build):
+    """The constructions' partitions have hulls that meet only on a
+    boundary; the oracle lists them, with and without a pair of their
+    labels in different blocks kept apart."""
+    config, partition = build()
+    apart = [(partition[0][0], partition[1][0])]
+    for pairs in ((), apart):
+        hits = tverberg_records_oracle(config, pairs)
+        assert partition in hits
+        assert hits == _one_lp_per_candidate(config, pairs)
 
 
 @pytest.fixture

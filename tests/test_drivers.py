@@ -6,10 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from tverlab import drivers, tverberg
+from tverlab import constraints, drivers
 from tverlab.complexes import SimplicialComplex
-from tverlab.constraints import CompleteK, avoiding_candidates, instantiate
-from tverlab.errors import InvalidParameters
+from tverlab.constraints import CompleteK, ConstraintGraph, instantiate
+from tverlab.errors import InvalidParameters, LabelMismatch
+from tverlab.partitions import enumerate_candidate_partitions
 
 
 def test_radon_baseline_says_no_to_a_type_ii_record(monkeypatch):
@@ -106,27 +107,28 @@ def test_chessboard_campaign_says_no_on_a_disconnected_complex(monkeypatch):
     assert report["ok"] is False
 
 
-def test_witness_check_runs_one_lp_per_avoiding_candidate(monkeypatch):
-    # The oracle's verdict covers every avoiding candidate, none skipped.
-    graph = drivers.STAR_WITNESS_GRAPH
-    real = tverberg.common_point
-    calls = []
+@pytest.mark.parametrize(
+    "edges",
+    [{(0, 8), (1, 8)}, {(7, 8)}],
+    ids=["star-into-label-8", "edge-7-8"],
+)
+def test_witness_report_refuses_an_edge_outside_the_labels_before_any_draw(edges, monkeypatch):
+    # (2, 3) has the labels 0..6.  Searched, the first graph broke the
+    # witness's relabelling with a StopIteration, and the second, which
+    # every candidate on 0..6 avoids, spent the whole budget and reported ok.
+    def no_draw(*args):
+        raise AssertionError("a configuration was drawn")
 
-    def counted(blocks, d=None):
-        calls.append(blocks)
-        return real(blocks, d)
-
-    monkeypatch.setattr(tverberg, "common_point", counted)
-    report = drivers.witness_report(2, 3, graph, 1, 100_000)
-    assert report["found"] and report["verified"] and report["ok"]
-    assert len(calls) == len(avoiding_candidates(graph, 2, 3)) == 92
+    monkeypatch.setattr(constraints, "sample_classified_configuration", no_draw)
+    with pytest.raises(LabelMismatch, match=r"0\.\.6"):
+        drivers.witness_report(2, 3, ConstraintGraph(9, frozenset(edges)), 1, 20_000)
 
 
 def test_witness_report_refuses_a_graph_no_candidate_avoids():
     # Four mutually forbidden labels fit no three blocks: with no candidate
     # to check, any draw would be a witness on no evidence.
     graph = instantiate(CompleteK(4), 7)
-    assert avoiding_candidates(graph, 2, 3) == []
+    assert next(enumerate_candidate_partitions(2, 3, graph.edges), None) is None
     with pytest.raises(InvalidParameters, match=r"\(d, q\) = \(2, 3\)"):
         drivers.witness_report(2, 3, graph, 1, 100)
 

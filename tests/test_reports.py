@@ -35,6 +35,10 @@ PINNED = {
         ["search", "--q", "3", "--d", "2", "--graph", "star2", "--seed", "1"],
         "304dc69ff4e0637134594c4a235c6fea673ea1cf51cd0a29afc9c89cabe93350",
     ),
+    "search-star3": (
+        ["search", "--q", "4", "--d", "2", "--graph", "star3", "--seed", "1"],
+        "d7ab4bb83143c814cc7ae37cb0e162b9cfd7bc406bca6acadfce87ff43c25299",
+    ),
     "constrain-single-edges": (
         ["constrain", "--samples", "3", "--seed", "3"],
         "4b770fedaf8e702591aae9395bde90b6ec715fb45eac345b18fb5acbd5507577",
