@@ -5,12 +5,8 @@ from .geometry import (
     PointConfiguration,
     orientation,
     effective_general_position,
-    hull_membership,
     common_point,
     affine_intersection_point,
-    INSIDE,
-    BOUNDARY,
-    OUTSIDE,
 )
 from .partitions import enumerate_candidate_partitions
 from .tverberg import (
@@ -37,12 +33,8 @@ __all__ = [
     "PointConfiguration",
     "orientation",
     "effective_general_position",
-    "hull_membership",
     "common_point",
     "affine_intersection_point",
-    "INSIDE",
-    "BOUNDARY",
-    "OUTSIDE",
     "enumerate_candidate_partitions",
     "TverbergRecord",
     "birch_records",

@@ -14,15 +14,15 @@ point up to d = 4, so `_reduce` is off the Tverberg enumeration's hot path
 there; the enumeration calls it directly only when every Cramer minor of a
 family vanishes.
 
-`hull_membership` is the one point-in-simplex predicate for explicit
-points.  `common_point` goes through the exact LP instead (the same integer
-steps, other pivot choices) and serves as the independent check.
+`common_point` goes through the exact LP (the same integer steps, other
+pivot choices) and serves as the independent check.
 
 The Tverberg and Birch classifier reads the determinant table below, not
 these explicit-point predicates: `orientation` serves `render`, and
 `common_point` the LP oracle, which also checks a search's witness.
-`hull_membership`, `barycentric_coordinates`, `affine_intersection_point`
-and `points_in_general_position` are the tests' references, and the traced
+`barycentric_coordinates`, `affine_intersection_point` and
+`points_in_general_position` are the tests' references (the tests build
+their point-in-simplex predicate on them), and the traced
 benchmark (`perfbench/spans.py`) patches them by name.
 
 A `PointConfiguration` computes one table, once, and caches it: the integer
@@ -38,13 +38,9 @@ from functools import cached_property
 from itertools import combinations
 from dataclasses import dataclass
 
-from .errors import Degenerate, DimensionMismatch, NoUniquePoint
+from .errors import DimensionMismatch, NoUniquePoint
 from .lp import clear_denominators, fraction_free_pivot, lp_feasible
 from .partitions import point_count
-
-INSIDE = "Inside"
-BOUNDARY = "Boundary"
-OUTSIDE = "Outside"
 
 
 def _reduce(rows, ncols):
@@ -211,44 +207,6 @@ def barycentric_coordinates(p, simplex, d):
     if len(pivots) < k:
         raise NoUniquePoint("underdetermined")
     return [Fraction(row[-1], den) for row in m[:k]]
-
-
-def hull_membership(p, simplex, d=None):
-    """Exact Inside/Boundary/Outside of p versus the hull of a simplex.
-
-    The simplex has 1 to d+1 points.  A full one (d+1 points) is decided by
-    d+1 orientation signs, with no division, and raises Degenerate when its
-    points are affinely dependent.  A lower-dimensional one is decided by
-    barycentric coordinates, which raise NoUniquePoint("underdetermined")
-    when its points are dependent and p is in their affine hull.
-    """
-    if d is None:
-        d = len(p)
-    if not simplex or len(simplex) > d + 1:
-        raise DimensionMismatch(f"need 1 to {d + 1} points, got {len(simplex)}")
-
-    if len(simplex) <= d:
-        if len(p) != d or set(map(len, simplex)) != {d}:
-            raise DimensionMismatch("coordinate arity mismatch")
-        coords = barycentric_coordinates(p, simplex, d)
-        if coords is None or any(c < 0 for c in coords):
-            return OUTSIDE
-        return INSIDE if all(c > 0 for c in coords) else BOUNDARY
-
-    simplex = list(simplex)
-    base = orientation(simplex, d)  # checks every point's arity, p's below
-    if base == 0:
-        raise Degenerate("affinely dependent block")
-    verdict = INSIDE
-    for i in range(d + 1):
-        replaced = simplex.copy()
-        replaced[i] = p
-        s = orientation(replaced, d)
-        if s == 0:
-            verdict = BOUNDARY
-        elif s != base:
-            return OUTSIDE
-    return verdict
 
 
 def common_point(blocks, d=None):

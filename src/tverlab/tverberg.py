@@ -344,19 +344,31 @@ def tverberg_records(config: PointConfiguration):
     return records
 
 
+def _boxes_apart(xs, ys):
+    """Whether the axis-aligned bounding boxes of two point lists are apart:
+    in some coordinate one list's maximum is strictly below the other's
+    minimum, so their hulls are disjoint."""
+    return any(max(u) < min(v) or max(v) < min(u) for u, v in zip(zip(*xs), zip(*ys)))
+
+
 def tverberg_records_oracle(config: PointConfiguration, apart=()):
-    """Independent check by exact LPs alone: the candidate partitions whose
-    blocks' hulls meet, in candidate order, with no type-classification
-    shortcut; with `apart`, only the candidates that keep each of its label
-    pairs in different blocks.
+    """Independent check by exact LPs and box comparisons alone: the
+    candidate partitions whose blocks' hulls meet, in candidate order, with
+    no type-classification shortcut; with `apart`, only the candidates that
+    keep each of its label pairs in different blocks.
 
     A depth-first search builds each candidate block by block, in canonical
     order: the next block holds the smallest free label, at most d+1 labels
     and no `apart` pair, and leaves labels that the remaining blocks can
     hold.  Hulls with a common point meet pairwise, so a new block is kept
-    only if a two-block `common_point` LP, cached per pair, finds that it
-    meets every block chosen before it.  A complete candidate is a hit iff
-    the full `common_point` LP on its q blocks is feasible."""
+    only if it meets every block chosen before it, which is decided once per
+    pair.  Two blocks whose axis-aligned bounding boxes are apart (in some
+    coordinate one block's maximum is strictly below the other's minimum)
+    have disjoint hulls, and that decides the pair with no LP; otherwise,
+    touching boxes included, a two-block `common_point` LP decides it.  The
+    comparisons are exact and assume no general position.  A complete
+    candidate is a hit iff the full `common_point` LP on its q blocks is
+    feasible."""
     d, q, points = config.d, config.q, config.points
     partners = {}
     for a, b in apart:
@@ -367,7 +379,7 @@ def tverberg_records_oracle(config: PointConfiguration, apart=()):
     def meet(a, b):
         if (a, b) not in meets:
             hulls = [[points[i] for i in a], [points[i] for i in b]]
-            meets[a, b] = common_point(hulls, d) is not None
+            meets[a, b] = not _boxes_apart(*hulls) and common_point(hulls, d) is not None
         return meets[a, b]
 
     hits = []

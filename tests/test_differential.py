@@ -14,12 +14,14 @@ give exactly the LP oracle's partitions.
 shares nothing with the table classifier.  Their partition lists must be
 equal, on integer samples and on rational ones, whose denominators the
 table clears first, and every record's point must lie strictly inside each
-of its blocks.  The oracle prunes its candidates by two-block LPs; the
+of its blocks.  The oracle prunes its candidates by block pairs,
+each decided by apart bounding boxes or else a two-block LP; the
 one-LP-per-candidate loop, kept here only as its reference, must give the
 same partitions, with and without pairs kept apart, on search witnesses
 (none), on draws with avoiding records (exactly those), and on
 small-coordinate draws and the two boundary constructions, whose touching
-hulls meet.
+hulls meet.  Apart boxes must mean that the two-block LP finds no common
+point, on small-coordinate blocks whose boxes often touch.
 
 On the two boundary constructions of `test_ground_truth`, every verdict
 the reference does give must match the LP, and each refusal (`Degenerate`)
@@ -43,7 +45,10 @@ More seeds and draws, and (d, q) = (2, 4), (2, 5) and (4, 3), carry the
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from membership import INSIDE, OUTSIDE, hull_membership
 from test_ground_truth import _crossing_segments_on_triangle_edge, _three_planes_on_an_edge
 from tverlab import tverberg
 from tverlab.constraints import (
@@ -53,14 +58,12 @@ from tverlab.constraints import (
     sample_configuration,
     witness_search,
 )
+from tverlab.drivers import STAR_WITNESS_GRAPH, witness_report
 from tverlab.errors import Degenerate
 from tverlab.geometry import (
-    INSIDE,
-    OUTSIDE,
     PointConfiguration,
     common_point,
     effective_general_position,
-    hull_membership,
     points_in_general_position,
 )
 from tverlab.partitions import (
@@ -73,6 +76,7 @@ from tverlab.rng import SplitMix64
 from tverlab.tverberg import (
     FULL_BOUNDARY,
     TverbergRecord,
+    _boxes_apart,
     _inside,
     _low_point,
     _point,
@@ -300,6 +304,56 @@ def test_oracle_counts_touching_hulls_as_meeting(build):
         hits = tverberg_records_oracle(config, pairs)
         assert partition in hits
         assert hits == _one_lp_per_candidate(config, pairs)
+
+
+@st.composite
+def _block_pairs(draw):
+    """Two blocks of 1 to d+1 points, coordinates in [-2, 2], d = 1 to 3."""
+    d = draw(st.integers(1, 3))
+    block = st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d + 1)
+    return d, draw(block), draw(block)
+
+
+@given(_block_pairs())
+@settings(max_examples=300, deadline=None)
+def test_apart_boxes_mean_disjoint_hulls(pair):
+    d, xs, ys = pair
+    if _boxes_apart(xs, ys):
+        assert common_point([xs, ys], d) is None
+
+
+def test_boxes_decide_only_when_apart():
+    """Parallel segments whose boxes overlap: only the LP says no.  Segments
+    whose boxes touch in y, and whose hulls meet at (1, 0): the boxes are
+    not apart, and the LP finds that point."""
+    diagonal, shifted = [(0, 0), (4, 4)], [(0, 3), (1, 4)]
+    assert not _boxes_apart(diagonal, shifted)
+    assert common_point([diagonal, shifted], 2) is None
+    floor, post = [(0, 0), (2, 0)], [(1, 0), (1, 2)]
+    assert not _boxes_apart(floor, post)
+    assert common_point([floor, post], 2) == (1, 0)
+
+
+def test_witness_check_runs_fewer_pair_lps_than_pairs(monkeypatch):
+    """The oracle decides each block pair once; on a search witness, apart
+    boxes settle some pairs, so fewer two-block LPs run than pairs."""
+    pairs, pair_lps = [], []
+    real_apart, real_common_point = tverberg._boxes_apart, tverberg.common_point
+
+    def apart(xs, ys):
+        pairs.append((xs, ys))
+        return real_apart(xs, ys)
+
+    def lp(blocks, d=None):
+        if len(blocks) == 2:
+            pair_lps.append(blocks)
+        return real_common_point(blocks, d)
+
+    monkeypatch.setattr(tverberg, "_boxes_apart", apart)
+    monkeypatch.setattr(tverberg, "common_point", lp)
+    report = witness_report(2, 3, STAR_WITNESS_GRAPH, 1, 2000)
+    assert report["found"] and report["verified"]
+    assert len(pair_lps) < len(pairs)
 
 
 @pytest.fixture

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from membership import BOUNDARY, INSIDE, OUTSIDE, hull_membership
 from tverlab.errors import Degenerate, DimensionMismatch, NoUniquePoint
 from tverlab.geometry import (
-    INSIDE,
-    BOUNDARY,
-    OUTSIDE,
     PointConfiguration,
     affine_intersection_point,
     barycentric_coordinates,
     common_point,
     effective_general_position,
-    hull_membership,
     orientation,
     points_in_general_position,
 )
