@@ -209,7 +209,7 @@ def barycentric_coordinates(p, simplex, d):
     return [Fraction(row[-1], den) for row in m[:k]]
 
 
-def common_point(blocks, d=None):
+def common_point(blocks):
     """Some exact point in the intersection of the blocks' convex hulls.
 
     Returns a tuple of Fractions, or None when the intersection is empty.
@@ -218,8 +218,7 @@ def common_point(blocks, d=None):
     """
     if len(blocks) < 2 or any(not blk for blk in blocks):
         raise DimensionMismatch("need at least two non-empty blocks")
-    if d is None:
-        d = len(blocks[0][0])
+    d = len(blocks[0][0])
     for blk in blocks:
         for s in blk:
             if len(s) != d:

@@ -71,7 +71,7 @@ from itertools import combinations
 
 from .errors import Degenerate, InvalidParameters
 from .geometry import PointConfiguration, _reduce, common_point, det, effective_general_position
-from .partitions import canonical
+from .partitions import canonical, enumerate_candidate_partitions
 
 LOW_BOUNDARY = "intersection point on a low-block boundary"
 FULL_BOUNDARY = "intersection point on a block-hull boundary"
@@ -357,54 +357,30 @@ def tverberg_records_oracle(config: PointConfiguration, apart=()):
     no type-classification shortcut; with `apart`, only the candidates that
     keep each of its label pairs in different blocks.
 
-    A depth-first search builds each candidate block by block, in canonical
-    order: the next block holds the smallest free label, at most d+1 labels
-    and no `apart` pair, and leaves labels that the remaining blocks can
-    hold.  Hulls with a common point meet pairwise, so a new block is kept
-    only if it meets every block chosen before it, which is decided once per
-    pair.  Two blocks whose axis-aligned bounding boxes are apart (in some
-    coordinate one block's maximum is strictly below the other's minimum)
-    have disjoint hulls, and that decides the pair with no LP; otherwise,
-    touching boxes included, a two-block `common_point` LP decides it.  The
-    comparisons are exact and assume no general position.  A complete
-    candidate is a hit iff the full `common_point` LP on its q blocks is
-    feasible."""
-    d, q, points = config.d, config.q, config.points
-    partners = {}
-    for a, b in apart:
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
+    Hulls with a common point meet pairwise, so each candidate of
+    `enumerate_candidate_partitions` first has its block pairs tested, each
+    pair decided once.  Two blocks whose axis-aligned bounding boxes are
+    apart (in some coordinate one block's maximum is strictly below the
+    other's minimum) have disjoint hulls, and that decides the pair with no
+    LP; otherwise, touching boxes included, a two-block `common_point` LP
+    decides it.  The comparisons are exact and assume no general position.
+    A candidate whose blocks meet pairwise is a hit iff the full
+    `common_point` LP on its q blocks is feasible."""
+    points = config.points
     meets = {}
 
     def meet(a, b):
         if (a, b) not in meets:
             hulls = [[points[i] for i in a], [points[i] for i in b]]
-            meets[a, b] = not _boxes_apart(*hulls) and common_point(hulls, d) is not None
+            meets[a, b] = not _boxes_apart(*hulls) and common_point(hulls) is not None
         return meets[a, b]
 
-    hits = []
-    stack = [(tuple(range(config.n)), ())]  # (free labels, blocks so far)
-    while stack:
-        free, chosen = stack.pop()
-        left = q - len(chosen)
-        if not left:
-            if common_point([[points[i] for i in b] for b in chosen], d) is not None:
-                hits.append(chosen)
-            continue
-        first = free[0]
-        banned = partners.get(first, ())
-        allowed = [a for a in free[1:] if a not in banned]
-        # labels besides `first`; the other left - 1 blocks take 1 to d+1 each
-        least, most = len(free) - 1 - (left - 1) * (d + 1), min(d, len(free) - left)
-        for size in range(max(0, least), most + 1):
-            for more in combinations(allowed, size):
-                if any(b in partners.get(a, ()) for a, b in combinations(more, 2)):
-                    continue
-                block = (first,) + more
-                if all(meet(c, block) for c in chosen):
-                    rest = tuple(a for a in free[1:] if a not in more)
-                    stack.append((rest, chosen + (block,)))
-    return sorted(hits, key=_growth_string)
+    return [
+        partition
+        for partition in enumerate_candidate_partitions(config.d, config.q, apart)
+        if all(meet(a, b) for a, b in combinations(partition, 2))
+        and common_point([[points[i] for i in b] for b in partition]) is not None
+    ]
 
 
 SIERKSMA = "sierksma"

@@ -14,14 +14,17 @@ give exactly the LP oracle's partitions.
 shares nothing with the table classifier.  Their partition lists must be
 equal, on integer samples and on rational ones, whose denominators the
 table clears first, and every record's point must lie strictly inside each
-of its blocks.  The oracle prunes its candidates by block pairs,
-each decided by apart bounding boxes or else a two-block LP; the
-one-LP-per-candidate loop, kept here only as its reference, must give the
-same partitions, with and without pairs kept apart, on search witnesses
-(none), on draws with avoiding records (exactly those), and on
-small-coordinate draws and the two boundary constructions, whose touching
-hulls meet.  Apart boxes must mean that the two-block LP finds no common
-point, on small-coordinate blocks whose boxes often touch.
+of its blocks.  The oracle filters the candidates of
+`enumerate_candidate_partitions`: it tests each one's block pairs, each
+pair decided once by apart bounding boxes or else a two-block LP, and runs
+the full LP only when they all meet.  The one-LP-per-candidate loop, kept
+here only as its reference, filters every candidate with `avoids` instead
+of the enumerator's pruning.  It must give the same partitions, with and
+without pairs kept apart, on search witnesses (none), on draws with
+avoiding records (exactly those), and on small-coordinate draws and the
+two boundary constructions, whose touching hulls meet.  Apart boxes must
+mean that the two-block LP finds no common point, on small-coordinate
+blocks whose boxes often touch.
 
 On the two boundary constructions of `test_ground_truth`, every verdict
 the reference does give must match the LP, and each refusal (`Degenerate`)
@@ -43,6 +46,7 @@ More seeds and draws, and (d, q) = (2, 4), (2, 5) and (4, 3), carry the
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,7 @@ from test_ground_truth import _crossing_segments_on_triangle_edge, _three_planes
 from tverlab import tverberg
 from tverlab.constraints import (
     ConstraintGraph,
+    avoids,
     constrained_records,
     sample_classified_configuration,
     sample_configuration,
@@ -123,11 +128,16 @@ def _candidate_first(config):
 
 def _one_lp_per_candidate(config, apart=()):
     """The oracle's reference: one `common_point` LP on every candidate that
-    keeps the `apart` pairs apart, in enumeration order."""
+    keeps the `apart` pairs apart, in enumeration order.  It enumerates
+    every candidate and filters with `avoids`, so it shares no pruning with
+    the oracle's enumeration."""
+    graph = ConstraintGraph(config.n, frozenset(apart))
     hits = []
-    for partition in enumerate_candidate_partitions(config.d, config.q, apart):
+    for partition in enumerate_candidate_partitions(config.d, config.q):
+        if not avoids(partition, graph):
+            continue
         blocks = [[config.points[i] for i in blk] for blk in partition]
-        if common_point(blocks, config.d) is not None:
+        if common_point(blocks) is not None:
             hits.append(partition)
     return hits
 
@@ -319,7 +329,7 @@ def _block_pairs(draw):
 def test_apart_boxes_mean_disjoint_hulls(pair):
     d, xs, ys = pair
     if _boxes_apart(xs, ys):
-        assert common_point([xs, ys], d) is None
+        assert common_point([xs, ys]) is None
 
 
 def test_boxes_decide_only_when_apart():
@@ -328,10 +338,10 @@ def test_boxes_decide_only_when_apart():
     not apart, and the LP finds that point."""
     diagonal, shifted = [(0, 0), (4, 4)], [(0, 3), (1, 4)]
     assert not _boxes_apart(diagonal, shifted)
-    assert common_point([diagonal, shifted], 2) is None
+    assert common_point([diagonal, shifted]) is None
     floor, post = [(0, 0), (2, 0)], [(1, 0), (1, 2)]
     assert not _boxes_apart(floor, post)
-    assert common_point([floor, post], 2) == (1, 0)
+    assert common_point([floor, post]) == (1, 0)
 
 
 def test_witness_check_runs_fewer_pair_lps_than_pairs(monkeypatch):
@@ -344,16 +354,83 @@ def test_witness_check_runs_fewer_pair_lps_than_pairs(monkeypatch):
         pairs.append((xs, ys))
         return real_apart(xs, ys)
 
-    def lp(blocks, d=None):
+    def lp(blocks):
         if len(blocks) == 2:
             pair_lps.append(blocks)
-        return real_common_point(blocks, d)
+        return real_common_point(blocks)
 
     monkeypatch.setattr(tverberg, "_boxes_apart", apart)
     monkeypatch.setattr(tverberg, "common_point", lp)
     report = witness_report(2, 3, STAR_WITNESS_GRAPH, 1, 2000)
     assert report["found"] and report["verified"]
     assert len(pair_lps) < len(pairs)
+
+
+def _spend_case(d, q, edges, witness):
+    """The graph's seed-1 witness, or else the first classified draw with
+    records that avoid the graph, with the graph."""
+    graph = ConstraintGraph(point_count(d, q), frozenset(edges))
+    if witness:
+        return witness_search(d, q, graph, 1, budget=200_000), graph
+    rng = SplitMix64(1)
+    while True:
+        config, records = sample_classified_configuration(d, q, rng)
+        if constrained_records(records, graph):
+            return config, graph
+
+
+@pytest.mark.parametrize(
+    "d,q,edges,witness",
+    [(2, 3, STAR2, True), (2, 4, STAR3, True), (2, 3, STAR2, False)],
+    ids=["star2-witness", "star3-witness", "star2-draw"],
+)
+def test_oracle_decides_each_pair_once_and_runs_full_lps_only_where_pairs_meet(
+    d, q, edges, witness, monkeypatch
+):
+    """Spies on the box certificate and the LP: each block pair is decided
+    once, by apart boxes or else one two-block LP; the q-block LP runs
+    exactly once per avoiding candidate whose block pairs all meet by the
+    reference's two-block LPs, in candidate order."""
+    config, graph = _spend_case(d, q, edges, witness)
+    label = {point: i for i, point in enumerate(config.points)}
+
+    def blocks_of(hulls):
+        return tuple(tuple(label[p] for p in hull) for hull in hulls)
+
+    boxed, pair_lps, full_lps = [], [], []
+    real_apart, real_common_point = tverberg._boxes_apart, tverberg.common_point
+
+    def apart(xs, ys):
+        boxed.append((blocks_of([xs, ys]), real_apart(xs, ys)))
+        return boxed[-1][1]
+
+    def lp(blocks):
+        (pair_lps if len(blocks) == 2 else full_lps).append(blocks_of(blocks))
+        return real_common_point(blocks)
+
+    monkeypatch.setattr(tverberg, "_boxes_apart", apart)
+    monkeypatch.setattr(tverberg, "common_point", lp)
+    hits = tverberg_records_oracle(config, graph.edges)
+    monkeypatch.undo()
+
+    pairs = [pair for pair, _ in boxed]
+    assert len(set(pairs)) == len(pairs)
+    assert pair_lps == [pair for pair, boxes_apart in boxed if not boxes_apart]
+
+    verdicts = {}
+
+    def meet(a, b):
+        if (a, b) not in verdicts:
+            verdicts[a, b] = common_point([[config.points[i] for i in blk] for blk in (a, b)])
+        return verdicts[a, b] is not None
+
+    expected = [
+        partition
+        for partition in enumerate_candidate_partitions(config.d, config.q)
+        if avoids(partition, graph) and all(meet(a, b) for a, b in combinations(partition, 2))
+    ]
+    assert full_lps == expected
+    assert hits == _one_lp_per_candidate(config, graph.edges)
 
 
 @pytest.fixture
@@ -389,7 +466,7 @@ def test_boundary_verdicts_match_lp_oracle(build, replayed_records):
         with pytest.raises(Degenerate, match="boundary"):
             is_tverberg(partition, config)
         blocks = [[config.points[i] for i in blk] for blk in partition]
-        meet = common_point(blocks, config.d) is not None
+        meet = common_point(blocks) is not None
         try:
             record = _classify(partition, config)
         except Degenerate as exc:

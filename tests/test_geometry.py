@@ -182,6 +182,16 @@ def test_common_point_disjoint_segments():
     assert common_point([[(0, 0), (1, 0)], [(2, 0), (3, 0)]]) is None
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [[[(0, 0)]], [[(0, 0)], []], [[(0, 0), (1, 0)], [(0, 1, 0)]]],
+    ids=["one-block", "empty-block", "arity"],
+)
+def test_common_point_dimension_mismatch(blocks):
+    with pytest.raises(DimensionMismatch):
+        common_point(blocks)
+
+
 def test_common_point_point_in_triangle():
     p = common_point([[(0, 0), (2, 0), (1, 2)], [(1, 1)]])
     assert p == (1, 1)

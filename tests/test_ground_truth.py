@@ -144,7 +144,7 @@ def test_planes_through_a_line_are_refused():
     assert effective_general_position(config)
     with pytest.raises(Degenerate, match="affine hulls meet in more than a point"):
         _classify(TRIANGLES, config)
-    assert common_point([[config.points[i] for i in b] for b in TRIANGLES], 3) is None
+    assert common_point([[config.points[i] for i in b] for b in TRIANGLES]) is None
     assert is_tverberg(TRIANGLES, config) is None
 
 
@@ -190,4 +190,4 @@ def test_four_low_blocks_meet_at_the_origin(d, sizes):
     weights, total = _low_point(low, config.determinants, d)
     assert min(weights) > 0
     assert _point(low[0], weights, total, config) == (0,) * d
-    assert common_point([[config.points[i] for i in b] for b in partition], d) is not None
+    assert common_point([[config.points[i] for i in b] for b in partition]) is not None
