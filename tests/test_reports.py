@@ -19,6 +19,14 @@ from tverlab import cli, drivers
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PINNED = {
+    "enumerate-d2-q3": (
+        ["enumerate", "--d", "2", "--q", "3"],
+        "8ad1675647b0fbaf061710dee782281e7bd31d26b3b11bd561568f8585b860f1",
+    ),
+    "enumerate-d1-q4": (
+        ["enumerate", "--d", "1", "--q", "4"],
+        "0c81c046731a0b1b516d8e1fe610a6e2107785a3ff3f3cb7e03c1ce14fc08bd7",
+    ),
     "count-d3-q3": (
         ["count", "--d", "3", "--q", "3", "--samples", "3", "--seed", "7"],
         "07b78bb882324fd86f17c644e482c270b05e65ea13097d24872b192bc2dcd63b",
