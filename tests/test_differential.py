@@ -74,7 +74,6 @@ from tverlab.geometry import (
 from tverlab.partitions import (
     canonical,
     enumerate_candidate_partitions,
-    partitions_with_max_block,
     point_count,
 )
 from tverlab.rng import SplitMix64
@@ -514,7 +513,12 @@ def test_birch_records_match_hull_membership(d, k):
             continue
         assert generic
         expected = []
-        for partition in partitions_with_max_block(range(len(points)), k, d + 1):
+        # the equal-size partitions of the points: the candidates of
+        # (d, k+1) that leave p, the last label, a block on its own
+        for candidate in enumerate_candidate_partitions(d, k + 1):
+            if candidate[-1] != (len(points),):
+                continue
+            partition = candidate[:-1]
             verdicts = [hull_membership(p, [points[i] for i in blk], d) for blk in partition]
             assert set(verdicts) <= {INSIDE, OUTSIDE}
             if all(v == INSIDE for v in verdicts):
