@@ -93,7 +93,7 @@ def _record_dict(record):
 
 def _load_config(path) -> PointConfiguration:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise InvalidParameters(f"cannot read {path}: {exc.strerror}") from exc

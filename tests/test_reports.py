@@ -116,6 +116,12 @@ def test_readme_classify_report_bytes(tmp_path, capsys):
     assert _digest(["classify", "--input", str(cfg)], capsys) == README_CLASSIFY
 
 
+def test_readme_config_with_byte_order_mark_classifies_the_same(tmp_path, capsys):
+    cfg = _readme_config(tmp_path)
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert _digest(["classify", "--input", str(cfg)], capsys) == README_CLASSIFY
+
+
 def test_readme_render_svg_bytes(tmp_path, capsys):
     out = tmp_path / "readme.svg"
     argv = ["render", "--input", str(_readme_config(tmp_path)), "--out", str(out)]
